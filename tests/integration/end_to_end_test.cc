@@ -1,6 +1,9 @@
 /** @file End-to-end integration tests across the whole library. */
 
 #include <cstdio>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -22,8 +25,8 @@ TEST(EndToEndTest, GeneratorToFileToDriverMatchesDirectRun)
     // Write a synthetic trace to disk, read it back, and verify the
     // simulation result is bit-identical to driving the generator
     // directly.
-    const std::string path =
-        ::testing::TempDir() + "/confsim_e2e.cbt";
+    const std::string path = ::testing::TempDir() + "/confsim_e2e_" +
+                             std::to_string(::getpid()) + ".cbt";
     BenchmarkProfile profile = ibsProfile("mpeg");
     WorkloadGenerator gen(profile, 50000);
     writeTraceFile(gen, path);

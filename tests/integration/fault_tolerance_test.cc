@@ -12,7 +12,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -55,10 +58,18 @@ class FaultToleranceTest : public ::testing::Test
     void
     SetUp() override
     {
-        // Materialize each benchmark's trace as a CBT2 file.
+        // Materialize each benchmark's trace as a CBT2 file. ctest
+        // runs every case as its own process, possibly concurrently,
+        // so the path carries the test name and pid: no case may
+        // read, corrupt, or delete a sibling's trace.
+        const std::string prefix =
+            ::testing::TempDir() + "/confsim_ft_" +
+            ::testing::UnitTest::GetInstance()
+                ->current_test_info()
+                ->name() +
+            "_" + std::to_string(::getpid()) + "_";
         for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
-            paths_.push_back(::testing::TempDir() + "/confsim_ft_" +
-                             names_[bench] + ".cbt");
+            paths_.push_back(prefix + names_[bench] + ".cbt");
             auto generator = suite_.makeGenerator(bench);
             writeTraceFile(*generator, paths_.back());
         }

@@ -1,18 +1,21 @@
 /**
  * @file
- * Differential correctness harness for the sweep engine.
+ * Differential correctness harness for the replay engine.
  *
- * The sweep engine's entire contract is bit-exactness: running N
- * configurations through one shared decode pass must produce EXACTLY
-* what N independent sequential SimulationDriver runs produce — same
- * branch counts, same per-bucket reference/misprediction doubles, same
- * reduction curves, same serialized component bytes. These tests run
- * every (predictor, estimator) family in the shared registry
- * (sim/family_registry.h) through both paths and compare without
- * tolerance — a family added to the registry can never silently skip
- * this wall. Thread count and batch size are varied to prove they
- * never leak into results, and sweep checkpoints are round-tripped to
- * prove resume is bit-exact too.
+ * The engine's contract is bit-exactness against the paper's loop:
+ * every configuration of a sweep, however many share the decode pass,
+ * must produce EXACTLY what the independent reference replay
+ * (tests/support/reference_replay.h) produces for it alone — same
+ * branch counts, same per-bucket reference/misprediction doubles,
+ * same reduction curves, same serialized component bytes. The
+ * reference shares no code with the engine's record loop, so these
+ * tests compare two implementations, not one loop copied twice.
+ * Every (predictor, estimator) family in the shared registry
+ * (sim/family_registry.h) is covered, so a family added there can
+ * never silently skip this wall. Thread count, batch size, and
+ * decode-ahead depth are varied to prove they never leak into
+ * results, and checkpoints are round-tripped to prove resume is
+ * bit-exact too.
  */
 
 #include <cstdint>
@@ -26,10 +29,10 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/checkpoint_store.h"
 #include "metrics/confidence_curve.h"
-#include "sim/driver.h"
 #include "sim/family_registry.h"
 #include "sim/suite_runner.h"
 #include "sim/sweep_engine.h"
+#include "support/reference_replay.h"
 #include "workload/suite.h"
 
 namespace confsim {
@@ -53,10 +56,10 @@ freshSource(std::uint64_t branches = kBranches)
     return BenchmarkSuite::ibsSmall(branches).makeGenerator(0);
 }
 
-/** The sequential reference: one driver run plus final state bytes. */
+/** The reference: one naive replay plus its final state bytes. */
 struct SequentialRun
 {
-    DriverResult result;
+    ReferenceResult result;
     std::vector<std::uint8_t> stateBytes;
 };
 
@@ -85,17 +88,16 @@ runSequential(const Family &family, DriverOptions options,
     raw.reserve(owned.size());
     for (auto &estimator : owned)
         raw.push_back(estimator.get());
-    SimulationDriver driver(*predictor, raw, options);
     auto source = freshSource(branches);
     SequentialRun run;
-    run.result = driver.run(*source);
+    run.result = referenceReplay(*source, *predictor, raw, options);
     run.stateBytes = snapshotBytes(*predictor, raw);
     return run;
 }
 
-/** Bit-exact comparison of one config's sweep result vs the driver. */
+/** Bit-exact comparison of one config's sweep result vs the reference. */
 void
-expectIdentical(const DriverResult &sequential,
+expectIdentical(const ReferenceResult &sequential,
                 const SweepConfigResult &sweep,
                 const std::string &context)
 {
@@ -337,13 +339,6 @@ TEST(SweepDifferential, CheckpointResumeIsBitExact)
     SweepOptions sweep;
     sweep.threads = 2;
 
-    // Uninterrupted reference sweep.
-    SweepEngine reference_engine(familyConfigs(families), options,
-                                 sweep);
-    auto reference_source = freshSource();
-    const SweepRunResult reference =
-        reference_engine.run(*reference_source);
-
     // Checkpointed sweep: write generations mid-run...
     CheckpointStore store(dir.string(), "sweep-test", 2);
     SweepEngine first_engine(familyConfigs(families), options, sweep);
@@ -353,7 +348,7 @@ TEST(SweepDifferential, CheckpointResumeIsBitExact)
     ASSERT_GT(first.checkpointsWritten, 0u);
 
     // ...then resume a fresh engine from the newest valid generation
-    // and compare against the uninterrupted run.
+    // and compare against uninterrupted reference replays.
     const auto ckpt = store.loadLatestValid();
     ASSERT_TRUE(ckpt.has_value());
     SweepEngine resumed_engine(familyConfigs(families), options,
@@ -362,25 +357,11 @@ TEST(SweepDifferential, CheckpointResumeIsBitExact)
     const SweepRunResult resumed =
         resumed_engine.resume(*resumed_source, *ckpt);
 
-    ASSERT_EQ(reference.perConfig.size(), resumed.perConfig.size());
-    for (std::size_t c = 0; c < reference.perConfig.size(); ++c) {
-        const SweepConfigResult &expected = reference.perConfig[c];
-        const SweepConfigResult &actual = resumed.perConfig[c];
-        SCOPED_TRACE(families[c].label);
-        EXPECT_EQ(expected.branches, actual.branches);
-        EXPECT_EQ(expected.mispredicts, actual.mispredicts);
-        ASSERT_EQ(expected.estimatorStats.size(),
-                  actual.estimatorStats.size());
-        for (std::size_t e = 0; e < expected.estimatorStats.size();
-             ++e) {
-            const BucketStats &eb = expected.estimatorStats[e];
-            const BucketStats &ab = actual.estimatorStats[e];
-            ASSERT_EQ(eb.numBuckets(), ab.numBuckets());
-            for (std::uint64_t b = 0; b < eb.numBuckets(); ++b) {
-                EXPECT_EQ(eb[b].refs, ab[b].refs);
-                EXPECT_EQ(eb[b].mispredicts, ab[b].mispredicts);
-            }
-        }
+    ASSERT_EQ(resumed.perConfig.size(), families.size());
+    for (std::size_t c = 0; c < families.size(); ++c) {
+        expectIdentical(runSequential(families[c], options).result,
+                        resumed.perConfig[c],
+                        families[c].label + " (resumed)");
     }
 }
 
@@ -416,7 +397,7 @@ TEST(SweepDifferential, SharedPoolWithSurplusWorkersBitExact)
     // More pool workers than configurations: the engine must cap its
     // shards at the config count and leave the surplus workers idle
     // (they exist to serve other benchmarks' concurrent passes), with
-    // results identical to a lone engine.
+    // results identical to the reference.
     const std::vector<Family> families = {
         differentialFamilyNamed("one_level_ones_pcxorbhr"),
         differentialFamilyNamed("tage_provider"),
@@ -463,18 +444,11 @@ TEST(SweepDifferential, CheckpointResumeWithDecodeAheadBitExact)
     DriverOptions options;
     options.profileStatic = true;
 
-    // Reference: synchronous-refill engine, uninterrupted.
+    // Checkpoint cadence must be depth-independent too: count the
+    // synchronous engine's generations, then the pipelined engine's.
     SweepOptions sync_sweep;
     sync_sweep.threads = 2;
     sync_sweep.decodeAhead = 1;
-    SweepEngine reference_engine(familyConfigs(families), options,
-                                 sync_sweep);
-    auto reference_source = freshSource();
-    const SweepRunResult reference =
-        reference_engine.run(*reference_source);
-
-    // Checkpoint cadence must be depth-independent too: count the
-    // synchronous engine's generations, then the pipelined engine's.
     CheckpointStore sync_store(dir.string(), "sweep-sync", 4);
     SweepEngine sync_ckpt_engine(familyConfigs(families), options,
                                  sync_sweep);
@@ -506,59 +480,73 @@ TEST(SweepDifferential, CheckpointResumeWithDecodeAheadBitExact)
     const SweepRunResult resumed =
         resumed_engine.resume(*resumed_source, *ckpt);
 
-    ASSERT_EQ(reference.perConfig.size(), resumed.perConfig.size());
-    for (std::size_t c = 0; c < reference.perConfig.size(); ++c) {
-        const SweepConfigResult &expected = reference.perConfig[c];
-        const SweepConfigResult &actual = resumed.perConfig[c];
-        SCOPED_TRACE(families[c].label);
-        EXPECT_EQ(expected.branches, actual.branches);
-        EXPECT_EQ(expected.mispredicts, actual.mispredicts);
-        EXPECT_EQ(expected.contextSwitches, actual.contextSwitches);
-        ASSERT_EQ(expected.estimatorStats.size(),
-                  actual.estimatorStats.size());
-        for (std::size_t e = 0; e < expected.estimatorStats.size();
-             ++e) {
-            const BucketStats &eb = expected.estimatorStats[e];
-            const BucketStats &ab = actual.estimatorStats[e];
-            ASSERT_EQ(eb.numBuckets(), ab.numBuckets());
-            for (std::uint64_t b = 0; b < eb.numBuckets(); ++b) {
-                EXPECT_EQ(eb[b].refs, ab[b].refs);
-                EXPECT_EQ(eb[b].mispredicts, ab[b].mispredicts);
-            }
-        }
+    ASSERT_EQ(resumed.perConfig.size(), families.size());
+    for (std::size_t c = 0; c < families.size(); ++c) {
+        expectIdentical(runSequential(families[c], options).result,
+                        resumed.perConfig[c],
+                        families[c].label + " (resumed)");
     }
 }
 
-/** Exact comparison of two SweepSuiteResults (ignores wall times). */
+/**
+ * Check a suite-level sweep against reference replays: every
+ * benchmark of every configuration bit-exact, and each configuration's
+ * Section 1.2 composites equal to the equal-weight composite of the
+ * reference per-benchmark results.
+ */
 void
-expectSuiteResultsIdentical(const SweepSuiteResult &expected,
-                            const SweepSuiteResult &actual)
+expectSuiteMatchesReference(const BenchmarkSuite &suite,
+                            const std::vector<Family> &families,
+                            const DriverOptions &options,
+                            const SweepSuiteResult &swept)
 {
-    ASSERT_EQ(expected.perConfig.size(), actual.perConfig.size());
-    ASSERT_EQ(expected.labels, actual.labels);
-    for (std::size_t c = 0; c < expected.perConfig.size(); ++c) {
-        SCOPED_TRACE("config " + expected.labels[c]);
-        const SuiteRunResult &ec = expected.perConfig[c];
-        const SuiteRunResult &ac = actual.perConfig[c];
-        ASSERT_EQ(ec.perBenchmark.size(), ac.perBenchmark.size());
-        for (std::size_t b = 0; b < ec.perBenchmark.size(); ++b) {
-            const BenchmarkRunResult &eb = ec.perBenchmark[b];
-            const BenchmarkRunResult &ab = ac.perBenchmark[b];
-            EXPECT_EQ(eb.name, ab.name);
-            EXPECT_EQ(eb.error, ab.error);
-            EXPECT_EQ(eb.branches, ab.branches);
-            EXPECT_EQ(eb.mispredicts, ab.mispredicts);
-            EXPECT_EQ(eb.mispredictRate, ab.mispredictRate);
-            EXPECT_EQ(eb.staticStats.totalRefs(),
-                      ab.staticStats.totalRefs());
-            EXPECT_EQ(eb.staticStats.totalMispredicts(),
-                      ab.staticStats.totalMispredicts());
-            ASSERT_EQ(eb.estimatorStats.size(),
-                      ab.estimatorStats.size());
-            for (std::size_t e = 0; e < eb.estimatorStats.size();
+    ASSERT_EQ(swept.perConfig.size(), families.size());
+    for (std::size_t c = 0; c < families.size(); ++c) {
+        SCOPED_TRACE(families[c].label);
+        const SuiteRunResult &actual = swept.perConfig[c];
+        ASSERT_EQ(actual.perBenchmark.size(), suite.size());
+        EXPECT_FALSE(actual.degraded);
+
+        std::vector<ReferenceResult> references;
+        double rate_sum = 0.0;
+        for (std::size_t b = 0; b < suite.size(); ++b) {
+            auto predictor = families[c].makePredictor();
+            auto owned = families[c].makeEstimators();
+            std::vector<ConfidenceEstimator *> raw;
+            for (auto &estimator : owned)
+                raw.push_back(estimator.get());
+            auto source = suite.makeGenerator(b);
+            references.push_back(
+                referenceReplay(*source, *predictor, raw, options));
+            const ReferenceResult &expected = references.back();
+            const BenchmarkRunResult &got = actual.perBenchmark[b];
+            SCOPED_TRACE(got.name);
+            EXPECT_EQ(got.name, suite.profile(b).name);
+            EXPECT_FALSE(got.failed()) << got.error;
+            EXPECT_EQ(got.branches, expected.branches);
+            EXPECT_EQ(got.mispredicts, expected.mispredicts);
+            const double rate =
+                static_cast<double>(expected.mispredicts) /
+                static_cast<double>(expected.branches);
+            EXPECT_EQ(got.mispredictRate, rate);
+            rate_sum += rate;
+            double static_refs = 0.0;
+            double static_misses = 0.0;
+            for (const auto &[pc, entry] :
+                 expected.staticProfile.entries()) {
+                static_refs += static_cast<double>(entry.executions);
+                static_misses +=
+                    static_cast<double>(entry.mispredictions);
+            }
+            EXPECT_EQ(got.staticStats.totalRefs(), static_refs);
+            EXPECT_EQ(got.staticStats.totalMispredicts(),
+                      static_misses);
+            ASSERT_EQ(got.estimatorStats.size(),
+                      expected.estimatorStats.size());
+            for (std::size_t e = 0; e < got.estimatorStats.size();
                  ++e) {
-                const BucketStats &es = eb.estimatorStats[e];
-                const BucketStats &as = ab.estimatorStats[e];
+                const BucketStats &es = expected.estimatorStats[e];
+                const BucketStats &as = got.estimatorStats[e];
                 ASSERT_EQ(es.numBuckets(), as.numBuckets());
                 for (std::uint64_t bucket = 0;
                      bucket < es.numBuckets(); ++bucket) {
@@ -568,15 +556,19 @@ expectSuiteResultsIdentical(const SweepSuiteResult &expected,
                 }
             }
         }
-        EXPECT_EQ(ec.compositeMispredictRate,
-                  ac.compositeMispredictRate);
-        EXPECT_EQ(ec.degraded, ac.degraded);
-        ASSERT_EQ(ec.compositeEstimatorStats.size(),
-                  ac.compositeEstimatorStats.size());
+
+        EXPECT_EQ(actual.compositeMispredictRate,
+                  rate_sum / static_cast<double>(suite.size()));
+        ASSERT_EQ(actual.compositeEstimatorStats.size(),
+                  references.front().estimatorStats.size());
         for (std::size_t e = 0;
-             e < ec.compositeEstimatorStats.size(); ++e) {
-            const BucketStats &es = ec.compositeEstimatorStats[e];
-            const BucketStats &as = ac.compositeEstimatorStats[e];
+             e < actual.compositeEstimatorStats.size(); ++e) {
+            EqualWeightComposite composite(
+                references.front().estimatorStats[e].numBuckets());
+            for (const ReferenceResult &reference : references)
+                composite.add(reference.estimatorStats[e]);
+            const BucketStats &es = composite.result();
+            const BucketStats &as = actual.compositeEstimatorStats[e];
             ASSERT_EQ(es.numBuckets(), as.numBuckets());
             for (std::uint64_t bucket = 0; bucket < es.numBuckets();
                  ++bucket) {
@@ -585,39 +577,44 @@ expectSuiteResultsIdentical(const SweepSuiteResult &expected,
                           as[bucket].mispredicts);
             }
         }
-        EXPECT_EQ(ec.compositeStaticStats.totalRefs(),
-                  ac.compositeStaticStats.totalRefs());
     }
 }
 
 TEST(SweepDifferential, BenchParallelScheduleNeverChangesResults)
 {
-    // Concurrent benchmark passes on a shared pool vs strictly
-    // sequential single-threaded passes: identical outputs, identical
-    // suite ordering, identical composites.
+    // Strictly sequential single-threaded passes and concurrent
+    // benchmark passes on a shared pool both match the reference:
+    // identical outputs, suite ordering, and composites.
     const std::vector<Family> families = {
         differentialFamilyNamed("counter_resetting"),
         differentialFamilyNamed("tage_provider")};
     DriverOptions options;
     options.profileStatic = true;
-    SuiteRunner runner(BenchmarkSuite::ibsSmall(20'000));
+    const BenchmarkSuite suite = BenchmarkSuite::ibsSmall(20'000);
+    SuiteRunner runner(suite);
 
     SweepOptions sequential;
     sequential.threads = 1;
     sequential.decodeAhead = 1;
     sequential.benchParallel = 1;
-    const SweepSuiteResult reference = runner.runSweep(
-        familyConfigs(families), options, sequential, RunPolicy{});
+    {
+        SCOPED_TRACE("sequential");
+        expectSuiteMatchesReference(
+            suite, families, options,
+            runner.runSweep(familyConfigs(families), options,
+                            sequential, RunPolicy{}));
+    }
 
     for (const unsigned slots : {2u, 3u}) {
         SweepOptions pipelined;
         pipelined.threads = 4;
         pipelined.decodeAhead = 3;
         pipelined.benchParallel = slots;
-        const SweepSuiteResult result = runner.runSweep(
-            familyConfigs(families), options, pipelined, RunPolicy{});
         SCOPED_TRACE("bench-parallel " + std::to_string(slots));
-        expectSuiteResultsIdentical(reference, result);
+        expectSuiteMatchesReference(
+            suite, families, options,
+            runner.runSweep(familyConfigs(families), options,
+                            pipelined, RunPolicy{}));
     }
 }
 
@@ -651,64 +648,33 @@ TEST(SweepDifferential, SweepWallTimeIsSharedEquallyAcrossConfigs)
 
 TEST(SweepDifferential, SuiteRunnerSweepMatchesSequentialRun)
 {
-    // The full SuiteRunner integration: per-benchmark results AND the
-    // Section 1.2 composites must match the sequential path exactly,
-    // for every attached configuration.
+    // The full SuiteRunner integration, through both entry points:
+    // per-benchmark results AND the Section 1.2 composites must match
+    // the reference exactly, for every attached configuration.
     const std::vector<Family> families = {
         differentialFamilyNamed("counter_saturating"),
         differentialFamilyNamed("perceptron_margin")};
     DriverOptions options;
     options.profileStatic = true;
-
-    SuiteRunner runner(BenchmarkSuite::ibsSmall(20'000));
+    const BenchmarkSuite suite = BenchmarkSuite::ibsSmall(20'000);
+    SuiteRunner runner(suite);
 
     SweepOptions sweep;
     sweep.threads = 2;
-    const SweepSuiteResult swept = runner.runSweep(
-        familyConfigs(families), options, sweep, RunPolicy{});
-
-    ASSERT_EQ(swept.perConfig.size(), families.size());
-    for (std::size_t c = 0; c < families.size(); ++c) {
-        SCOPED_TRACE(families[c].label);
-        const SuiteRunResult expected =
-            runner.run(families[c].makePredictor,
-                       families[c].makeEstimators, options, RunPolicy{});
-        const SuiteRunResult &actual = swept.perConfig[c];
-
-        ASSERT_EQ(expected.perBenchmark.size(),
-                  actual.perBenchmark.size());
-        for (std::size_t b = 0; b < expected.perBenchmark.size();
-             ++b) {
-            const BenchmarkRunResult &eb = expected.perBenchmark[b];
-            const BenchmarkRunResult &ab = actual.perBenchmark[b];
-            EXPECT_EQ(eb.name, ab.name);
-            EXPECT_EQ(eb.branches, ab.branches);
-            EXPECT_EQ(eb.mispredicts, ab.mispredicts);
-            EXPECT_EQ(eb.mispredictRate, ab.mispredictRate);
-            EXPECT_EQ(eb.staticStats.totalRefs(),
-                      ab.staticStats.totalRefs());
-            EXPECT_EQ(eb.staticStats.totalMispredicts(),
-                      ab.staticStats.totalMispredicts());
-        }
-
-        ASSERT_EQ(expected.compositeEstimatorStats.size(),
-                  actual.compositeEstimatorStats.size());
-        for (std::size_t e = 0;
-             e < expected.compositeEstimatorStats.size(); ++e) {
-            const BucketStats &eb =
-                expected.compositeEstimatorStats[e];
-            const BucketStats &ab =
-                actual.compositeEstimatorStats[e];
-            ASSERT_EQ(eb.numBuckets(), ab.numBuckets());
-            for (std::uint64_t b = 0; b < eb.numBuckets(); ++b) {
-                EXPECT_EQ(eb[b].refs, ab[b].refs);
-                EXPECT_EQ(eb[b].mispredicts, ab[b].mispredicts);
-            }
-        }
-        EXPECT_EQ(expected.compositeMispredictRate,
-                  actual.compositeMispredictRate);
-        EXPECT_EQ(expected.compositeStaticStats.totalRefs(),
-                  actual.compositeStaticStats.totalRefs());
+    {
+        SCOPED_TRACE("runSweep");
+        expectSuiteMatchesReference(
+            suite, families, options,
+            runner.runSweep(familyConfigs(families), options, sweep,
+                            RunPolicy{}));
+    }
+    for (const Family &family : families) {
+        SCOPED_TRACE("run");
+        SweepSuiteResult single;
+        single.perConfig.push_back(runner.run(
+            family.makePredictor, family.makeEstimators, options,
+            RunPolicy{}));
+        expectSuiteMatchesReference(suite, {family}, options, single);
     }
 }
 
