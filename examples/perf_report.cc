@@ -17,7 +17,8 @@
  * CI runs this (with --fast) on every push and uploads the artifact,
  * so ns/branch regressions leave a dated trail that can be diffed
  * across commits. With --telemetry, the same runs also emit the JSONL
- * event stream (driver_run + sampled estimator_update_cost events).
+ * event stream (sweep_run_started / sweep_config_finished /
+ * sweep_run_finished per replay pass).
  *
  *   ./build/examples/perf_report --fast --out-dir reports
  */

@@ -3,7 +3,7 @@
  * The structured telemetry event: a typed name, a monotonic timestamp
  * (stamped by Telemetry::emit), and an ordered list of key/value
  * fields. Events are the unit every TelemetrySink consumes, so the
- * whole simulation stack — driver, suite runner, fault injection,
+ * whole simulation stack — replay engine, suite runner, fault injection,
  * trace recovery — reports through this one shape.
  *
  * Field values are carried pre-formatted as strings plus a kind tag,
@@ -33,11 +33,6 @@ inline constexpr const char *kBenchmarkStarted = "benchmark_started";
 inline constexpr const char *kBenchmarkFinished = "benchmark_finished";
 inline constexpr const char *kBenchmarkRetry = "benchmark_retry";
 inline constexpr const char *kWatchdogTimeout = "watchdog_timeout";
-inline constexpr const char *kDriverRun = "driver_run";
-inline constexpr const char *kContextSwitchFlush =
-    "context_switch_flush";
-inline constexpr const char *kEstimatorUpdateCost =
-    "estimator_update_cost";
 inline constexpr const char *kFaultInjected = "fault_injected";
 inline constexpr const char *kCorruptChunkSkipped =
     "corrupt_chunk_skipped";

@@ -2,19 +2,24 @@
  * @file
  * The trace-driven simulation driver.
  *
- * Orchestrates one benchmark run: for every conditional branch in the
- * trace it queries the predictor, snapshots the architectural context
- * (PC, global BHR, global CIR), queries each attached confidence
- * estimator's bucket, resolves the branch, and trains everything in the
- * paper's order (confidence tables and per-static-branch profile see
- * the prediction's correctness; the predictor and the history registers
- * see the outcome).
+ * Runs a caller-owned predictor plus confidence estimators over one
+ * trace. For every conditional branch the predictor is queried, each
+ * estimator's bucket is read with the architectural context (PC,
+ * global BHR, global CIR) from before the branch, and everything
+ * trains in the paper's order: the confidence tables and the
+ * per-static-branch profile see the prediction's correctness; the
+ * predictor and the history registers see the outcome.
+ *
+ * SimulationDriver is a thin wrapper over a one-configuration
+ * SweepEngine (sim/sweep_engine.h), which owns the one replay loop.
+ * The caller's components keep their trained state after run().
  */
 
 #ifndef CONFSIM_SIM_DRIVER_H
 #define CONFSIM_SIM_DRIVER_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,15 +30,13 @@
 #include "predictor/branch_predictor.h"
 #include "trace/trace_source.h"
 #include "util/cancellation.h"
-#include "util/running_stats.h"
 
 namespace confsim {
 
 class Checkpoint;
 class CheckpointStore;
-class HistoryRegister;
-class ShiftRegister;
 class SpanTracer;
+class SweepEngine;
 class Telemetry;
 
 /** Driver knobs. */
@@ -102,11 +105,10 @@ struct DriverOptions
 
     /**
      * Observability hook (obs/telemetry.h); null = telemetry off, in
-     * which case the only cost the feature adds to the record loop is
-     * a branch on this null pointer. When set, the driver emits a
-     * driver_run summary event, a context_switch_flush event per
-     * modelled switch, per-estimator sampled update-cost events, and
-     * merges its locally accumulated stats into the registry.
+     * which case the only cost the feature adds is a branch on this
+     * null pointer per pass. When set, each pass emits the
+     * sweep_run_started, sweep_config_finished, and sweep_run_finished
+     * events and merges its sweep.* metrics into the registry.
      */
     Telemetry *telemetry = nullptr;
 
@@ -115,9 +117,8 @@ struct DriverOptions
 
     /**
      * Execution-span tracer (obs/span.h); null = tracing off, at the
-     * cost of one null test per instrumented scope. The driver itself
-     * emits only coarse spans (whole-run, checkpoint writes); the
-     * sweep engine adds per-batch pipeline spans.
+     * cost of one null test per instrumented scope. Spans cover
+     * batches, shard replays, decode refills, and checkpoint writes.
      */
     SpanTracer *spans = nullptr;
 
@@ -133,13 +134,6 @@ struct DriverOptions
 
     /** Capacity/bin knobs for the branch profile when enabled. */
     BranchProfileOptions branchProfile;
-
-    /**
-     * Estimator update cost is timed on one branch in every this many
-     * (amortizes the two clock reads; 0 is treated as every branch).
-     * Only consulted when telemetry is attached.
-     */
-    std::uint64_t telemetrySampleStride = 8192;
 };
 
 /** Everything one run produces. */
@@ -166,14 +160,6 @@ struct DriverResult
     /** Mid-run checkpoints written (SimulationDriver::checkpointEvery). */
     std::uint64_t checkpointsWritten = 0;
 
-    /**
-     * Sampled per-estimator bucketOf+update cost in nanoseconds (same
-     * order as estimatorStats). Empty unless telemetry was attached —
-     * accumulated locally, lock-free, and merged by the caller
-     * (cf. RunningStats::merge).
-     */
-    std::vector<RunningStats> estimatorUpdateNs;
-
     /** @return overall misprediction rate. */
     double
     mispredictRate() const
@@ -198,6 +184,7 @@ class SimulationDriver
     SimulationDriver(BranchPredictor &predictor,
                      std::vector<ConfidenceEstimator *> estimators,
                      DriverOptions options = {});
+    ~SimulationDriver();
 
     /**
      * Consume @p source from its current position to exhaustion.
@@ -207,14 +194,15 @@ class SimulationDriver
     DriverResult run(TraceSource &source);
 
     /**
-     * Enable periodic checkpointing: every @p n_branches conditional
-     * branches the full simulation state (predictor, estimators,
-     * accumulated statistics, architectural registers, and — when the
-     * source supports it — trace position) is written atomically to
-     * @p store as the next generation. 0 disables. fatal() immediately
-     * if the predictor or any estimator is not checkpointable, so an
-     * unauditable configuration fails loudly up front rather than
-     * resuming wrong later.
+     * Enable periodic checkpointing: at the first record batch
+     * boundary at or after every @p n_branches conditional branches,
+     * the full simulation state (predictor, estimators, accumulated
+     * statistics, architectural registers, and — when the source
+     * supports it — trace position) is written atomically to
+     * @p store as the next generation. 0 disables. fatal()
+     * immediately if the predictor or any estimator is not
+     * checkpointable, so an unauditable configuration fails loudly up
+     * front rather than resuming wrong later.
      */
     void checkpointEvery(std::uint64_t n_branches,
                          CheckpointStore *store);
@@ -225,25 +213,13 @@ class SimulationDriver
      * carries no saved position (a non-checkpointable source), the
      * driver replays and discards `from.watermark` records from
      * @p source, which must therefore be a fresh deterministic stream.
-     * fatal() on any component/version/geometry mismatch.
+     * fatal(kCheckpoint) on any component/version/geometry mismatch,
+     * including checkpoints in a retired layout.
      */
     DriverResult resume(TraceSource &source, const Checkpoint &from);
 
   private:
-    DriverResult runImpl(TraceSource &source,
-                         const Checkpoint *resume_from);
-    void writeCheckpoint(TraceSource &source, DriverResult &result,
-                         std::uint64_t simulated,
-                         std::uint64_t consumed,
-                         std::uint64_t until_switch,
-                         const HistoryRegister &bhr,
-                         const ShiftRegister &gcir) const;
-
-    BranchPredictor &predictor_;
-    std::vector<ConfidenceEstimator *> estimators_;
-    DriverOptions options_;
-    std::uint64_t ckptEvery_ = 0;
-    CheckpointStore *ckptStore_ = nullptr;
+    std::unique_ptr<SweepEngine> engine_;
 };
 
 } // namespace confsim

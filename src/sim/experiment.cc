@@ -355,6 +355,59 @@ buildManifest(const ExperimentEnv &env, const BenchmarkSuite &suite,
     return manifest;
 }
 
+/**
+ * What every suite experiment shares: the runner, the driver options
+ * with telemetry and the run manifest wired in, the checkpoint, retry
+ * and deadline policy, and the configurations as sweep configurations.
+ */
+struct SuiteSetup
+{
+    SuiteRunner runner;
+    DriverOptions options;
+    RunPolicy policy;
+    std::vector<SweepConfiguration> configs;
+};
+
+SuiteSetup
+setUpSuite(const ExperimentEnv &env,
+           const std::vector<SweepExperimentConfig> &configs,
+           bool profile_static)
+{
+    if (configs.empty()) {
+        fatal(ErrorCategory::kConfig,
+              "a suite experiment needs at least one configuration");
+    }
+    SuiteSetup setup{SuiteRunner(env.makeSuite()), {}, {}, {}};
+    setup.options.bhrBits = paper::kLargeHistoryBits;
+    setup.options.gcirBits = paper::kCirBits;
+    setup.options.profileStatic = profile_static;
+    if (Telemetry *const telemetry = env.telemetryContext.get()) {
+        // The manifest's predictor/estimator identity comes from the
+        // first configuration; the sweep_* events carry the rest.
+        telemetry->setManifest(buildManifest(
+            env, setup.runner.suite(), configs.front().makePredictor,
+            configs.front().estimators, setup.options));
+        setup.options.telemetry = telemetry;
+    }
+    setup.policy.checkpoint.directory = env.checkpointDir;
+    setup.policy.checkpoint.everyBranches = env.checkpointEvery;
+    setup.policy.checkpoint.resume = env.resume;
+    setup.policy.retryBackoffMs = env.retryBackoffMs;
+    setup.policy.deadlineMs = env.deadlineMs;
+    for (const auto &config : configs) {
+        setup.configs.push_back(
+            {config.label, config.makePredictor,
+             [estimators = config.estimators] {
+                 std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+                 out.reserve(estimators.size());
+                 for (const auto &estimator : estimators)
+                     out.push_back(estimator.make());
+                 return out;
+             }});
+    }
+    return setup;
+}
+
 } // namespace
 
 SuiteRunResult
@@ -362,134 +415,32 @@ runSuiteExperiment(const ExperimentEnv &env,
                    const PredictorFactory &make_predictor,
                    const std::vector<EstimatorConfig> &estimators)
 {
-    SuiteRunner runner(env.makeSuite());
-    DriverOptions options;
-    options.bhrBits = paper::kLargeHistoryBits;
-    options.gcirBits = paper::kCirBits;
-    options.profileStatic = true;
-
-    Telemetry *const telemetry = env.telemetryContext.get();
-    if (telemetry != nullptr) {
-        telemetry->setManifest(buildManifest(
-            env, runner.suite(), make_predictor, estimators, options));
-        options.telemetry = telemetry;
-        options.telemetrySampleStride = env.telemetry.sampleStride;
-    }
-
-    EstimatorSetFactory make_estimators = [&estimators] {
-        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
-        out.reserve(estimators.size());
-        for (const auto &config : estimators)
-            out.push_back(config.make());
-        return out;
-    };
-    RunPolicy policy;
-    policy.checkpoint.directory = env.checkpointDir;
-    policy.checkpoint.everyBranches = env.checkpointEvery;
-    policy.checkpoint.resume = env.resume;
-    policy.retryBackoffMs = env.retryBackoffMs;
-    policy.deadlineMs = env.deadlineMs;
-    return runner.run(make_predictor, make_estimators, options, policy);
+    const SuiteSetup setup =
+        setUpSuite(env, {{"", make_predictor, estimators}}, true);
+    return setup.runner.run(make_predictor,
+                            setup.configs.front().makeEstimators,
+                            setup.options, setup.policy);
 }
 
 SweepSuiteResult
 runSweepSuiteExperiment(const ExperimentEnv &env,
                         const std::vector<SweepExperimentConfig> &configs)
 {
-    if (configs.empty())
-        fatal(ErrorCategory::kConfig,
-              "runSweepSuiteExperiment needs at least one "
-              "configuration");
-    SuiteRunner runner(env.makeSuite());
-    DriverOptions options;
-    options.bhrBits = paper::kLargeHistoryBits;
-    options.gcirBits = paper::kCirBits;
-    options.profileStatic = true;
-
-    Telemetry *const telemetry = env.telemetryContext.get();
-    if (telemetry != nullptr) {
-        // The manifest's predictor/estimator identity comes from the
-        // first configuration; the sweep_* events carry the rest.
-        telemetry->setManifest(buildManifest(
-            env, runner.suite(), configs.front().makePredictor,
-            configs.front().estimators, options));
-        options.telemetry = telemetry;
-        options.telemetrySampleStride = env.telemetry.sampleStride;
-    }
-
-    std::vector<SweepConfiguration> sweep_configs;
-    sweep_configs.reserve(configs.size());
-    for (const auto &config : configs) {
-        SweepConfiguration sweep_config;
-        sweep_config.label = config.label;
-        sweep_config.makePredictor = config.makePredictor;
-        const std::vector<EstimatorConfig> &estimators =
-            config.estimators;
-        sweep_config.makeEstimators = [estimators] {
-            std::vector<std::unique_ptr<ConfidenceEstimator>> out;
-            out.reserve(estimators.size());
-            for (const auto &estimator : estimators)
-                out.push_back(estimator.make());
-            return out;
-        };
-        sweep_configs.push_back(std::move(sweep_config));
-    }
-
+    const SuiteSetup setup = setUpSuite(env, configs, true);
     SweepOptions sweep;
     sweep.threads = env.sweepThreads;
     sweep.batchSize = env.batchSize;
     sweep.decodeAhead = env.decodeAhead;
     sweep.benchParallel = env.benchParallel;
-
-    RunPolicy policy;
-    policy.checkpoint.directory = env.checkpointDir;
-    policy.checkpoint.everyBranches = env.checkpointEvery;
-    policy.checkpoint.resume = env.resume;
-    policy.retryBackoffMs = env.retryBackoffMs;
-    policy.deadlineMs = env.deadlineMs;
-    return runner.runSweep(sweep_configs, options, sweep, policy);
+    return setup.runner.runSweep(setup.configs, setup.options, sweep,
+                                 setup.policy);
 }
 
 SamplingRunResult
 runSampledSuiteExperiment(const ExperimentEnv &env,
                           const std::vector<SweepExperimentConfig> &configs)
 {
-    if (configs.empty())
-        fatal(ErrorCategory::kConfig,
-              "runSampledSuiteExperiment needs at least one "
-              "configuration");
-    SuiteRunner runner(env.makeSuite());
-    DriverOptions options;
-    options.bhrBits = paper::kLargeHistoryBits;
-    options.gcirBits = paper::kCirBits;
-
-    Telemetry *const telemetry = env.telemetryContext.get();
-    if (telemetry != nullptr) {
-        telemetry->setManifest(buildManifest(
-            env, runner.suite(), configs.front().makePredictor,
-            configs.front().estimators, options));
-        options.telemetry = telemetry;
-        options.telemetrySampleStride = env.telemetry.sampleStride;
-    }
-
-    std::vector<SweepConfiguration> sweep_configs;
-    sweep_configs.reserve(configs.size());
-    for (const auto &config : configs) {
-        SweepConfiguration sweep_config;
-        sweep_config.label = config.label;
-        sweep_config.makePredictor = config.makePredictor;
-        const std::vector<EstimatorConfig> &estimators =
-            config.estimators;
-        sweep_config.makeEstimators = [estimators] {
-            std::vector<std::unique_ptr<ConfidenceEstimator>> out;
-            out.reserve(estimators.size());
-            for (const auto &estimator : estimators)
-                out.push_back(estimator.make());
-            return out;
-        };
-        sweep_configs.push_back(std::move(sweep_config));
-    }
-
+    SuiteSetup setup = setUpSuite(env, configs, false);
     SamplingOptions sampling;
     sampling.sampleRate = env.sampleRate;
     sampling.regionBranches = env.regionBranches;
@@ -501,8 +452,9 @@ runSampledSuiteExperiment(const ExperimentEnv &env,
     sampling.sweep.batchSize = env.batchSize;
     sampling.sweep.decodeAhead = env.decodeAhead;
 
-    SamplingEngine engine(std::move(sweep_configs), options, sampling);
-    return engine.runSuite(runner);
+    SamplingEngine engine(std::move(setup.configs), setup.options,
+                          sampling);
+    return engine.runSuite(setup.runner);
 }
 
 NamedCurve

@@ -5,7 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
-#include <future>
+#include <optional>
 #include <thread>
 
 #include "ckpt/checkpoint_store.h"
@@ -129,53 +129,23 @@ sleepBeforeRetry(const RunPolicy &policy, const SuiteContext &ctx,
 }
 
 /**
- * Size runSweep's shared worker pool. Unlike a lone engine's thread
- * resolution this is NOT capped at the configuration count: surplus
- * workers serve other benchmarks' concurrent sweep passes, which is
- * what fixes the under-subscription when configs < hardware threads.
- */
-unsigned
-resolveSweepPoolWorkers(unsigned requested)
-{
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        return 1;
-    unsigned workers = requested;
-    if (workers == 0) {
-        workers = std::thread::hardware_concurrency();
-        if (workers == 0)
-            workers = 1;
-    }
-    return workers;
-}
-
-/**
- * How many benchmarks' sweep passes run concurrently. 0 auto-sizes:
- * enough slots that `slots * shards_per_benchmark` covers the pool.
+ * How many benchmarks' passes run concurrently. 0 auto-sizes: enough
+ * slots that `slots * shards_per_benchmark` covers the pool.
  * CONFSIM_BENCH_PARALLEL overrides, CONFSIM_SEQUENTIAL forces 1.
  */
 unsigned
 resolveBenchParallel(unsigned requested, unsigned pool_workers,
                      std::size_t configs, std::size_t benchmarks)
 {
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        return 1;
-    if (const char *env = std::getenv("CONFSIM_BENCH_PARALLEL")) {
-        char *end = nullptr;
-        const long value = std::strtol(env, &end, 10);
-        if (end != env && value >= 1)
-            requested = static_cast<unsigned>(value);
-    }
-    unsigned slots = requested;
+    std::size_t slots =
+        resolveSweepKnob(requested, "CONFSIM_BENCH_PARALLEL");
     if (slots == 0) {
-        const unsigned per_bench = std::max(
-            1u, std::min(pool_workers,
-                         static_cast<unsigned>(configs)));
-        slots = std::max(1u, pool_workers / per_bench);
+        const std::size_t per_bench = std::max<std::size_t>(
+            1, std::min<std::size_t>(pool_workers, configs));
+        slots = pool_workers / per_bench;
     }
-    if (benchmarks != 0 &&
-        static_cast<std::size_t>(slots) > benchmarks)
-        slots = static_cast<unsigned>(benchmarks);
-    return std::max(1u, slots);
+    return static_cast<unsigned>(std::max<std::size_t>(
+        1, std::min<std::size_t>(slots, benchmarks)));
 }
 
 /**
@@ -267,403 +237,413 @@ emitRestored(Telemetry *telemetry, const std::string &benchmark,
 }
 
 /**
- * Pack a finished benchmark's full result into a checkpoint for the
- * store's done-marker, so a resumed suite run reuses it without
+ * Version of the done-marker layout: one result per configuration.
+ * Version 1 held a single SuiteRunner::run() result and no labels; it
+ * fails to decode, so that benchmark is simply re-simulated.
+ */
+constexpr std::uint32_t kDoneVersion = 2;
+
+/**
+ * Pack a finished benchmark's per-configuration results into a
+ * done-marker, so a resumed suite run reuses them without
  * re-simulating. Everything the compositing pass reads is included.
  */
 Checkpoint
-serializeBenchmarkResult(const BenchmarkRunResult &result)
+serializeResults(const std::string &name,
+                 const std::vector<SweepConfiguration> &configs,
+                 const std::vector<BenchmarkRunResult> &results)
 {
     Checkpoint ckpt;
-    ckpt.label = result.name;
-    ckpt.branches = result.branches;
+    ckpt.label = name;
+    ckpt.branches = results.front().branches;
     StateWriter out;
-    out.putString(result.name);
-    out.putU64(result.branches);
-    out.putU64(result.mispredicts);
-    out.putF64(result.mispredictRate);
-    out.putF64(result.wallMs);
-    out.putU64(result.attempts);
-    out.putU64(result.estimatorNames.size());
-    for (const auto &name : result.estimatorNames)
-        out.putString(name);
-    out.putU64(result.estimatorStats.size());
-    for (const auto &stats : result.estimatorStats) {
-        out.putU64(stats.numBuckets());
-        stats.saveState(out);
+    out.putString(name);
+    out.putU64(results.size());
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        const BenchmarkRunResult &result = results[c];
+        out.putString(configs[c].label);
+        out.putU64(result.branches);
+        out.putU64(result.mispredicts);
+        out.putF64(result.mispredictRate);
+        out.putU64(result.estimatorNames.size());
+        for (const auto &estimator : result.estimatorNames)
+            out.putString(estimator);
+        out.putU64(result.estimatorStats.size());
+        for (const auto &stats : result.estimatorStats) {
+            out.putU64(stats.numBuckets());
+            stats.saveState(out);
+        }
+        result.staticStats.saveState(out);
     }
-    result.staticStats.saveState(out);
-    ckpt.add("suite:result", 1, out.take());
+    ckpt.add("suite:result", kDoneVersion, out.take());
     return ckpt;
 }
 
-/** Unpack a serializeBenchmarkResult() done-marker; fatal() on damage. */
-BenchmarkRunResult
-deserializeBenchmarkResult(const Checkpoint &ckpt)
+/** Unpack a serializeResults() done-marker; fatal() on any mismatch. */
+std::vector<BenchmarkRunResult>
+deserializeResults(const Checkpoint &ckpt, const std::string &name,
+                   const std::vector<SweepConfiguration> &configs)
 {
     const CheckpointComponent *entry = ckpt.find("suite:result");
     if (entry == nullptr) {
         fatal(ErrorCategory::kCheckpoint,
               "completed checkpoint has no suite:result component");
     }
-    if (entry->version != 1) {
+    if (entry->version != kDoneVersion) {
         fatal(ErrorCategory::kCheckpoint,
-              "suite:result is version " +
-                  std::to_string(entry->version) + ", expected 1");
+              "suite:result is version " + std::to_string(entry->version) +
+                  ", expected " + std::to_string(kDoneVersion));
     }
     StateReader in(entry->payload);
-    BenchmarkRunResult result;
-    result.name = in.getString();
-    result.branches = in.getU64();
-    result.mispredicts = in.getU64();
-    result.mispredictRate = in.getF64();
-    result.wallMs = in.getF64();
-    result.attempts = static_cast<unsigned>(in.getU64());
-    const std::uint64_t names = in.getU64();
-    result.estimatorNames.reserve(names);
-    for (std::uint64_t i = 0; i < names; ++i)
-        result.estimatorNames.push_back(in.getString());
-    const std::uint64_t stats_count = in.getU64();
-    result.estimatorStats.reserve(stats_count);
-    for (std::uint64_t i = 0; i < stats_count; ++i) {
-        BucketStats stats(in.getU64());
-        stats.loadState(in);
-        result.estimatorStats.push_back(std::move(stats));
+    if (in.getString() != name) {
+        fatal(ErrorCategory::kCheckpoint,
+              "completed checkpoint belongs to another benchmark");
     }
-    result.staticStats.loadState(in);
+    in.expectU64(configs.size(), "completed checkpoint config count");
+    std::vector<BenchmarkRunResult> results(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        BenchmarkRunResult &result = results[c];
+        if (in.getString() != configs[c].label) {
+            fatal(ErrorCategory::kCheckpoint,
+                  "completed checkpoint config " + std::to_string(c) +
+                      " is not '" + configs[c].label + "'");
+        }
+        result.name = name;
+        result.branches = in.getU64();
+        result.mispredicts = in.getU64();
+        result.mispredictRate = in.getF64();
+        const std::uint64_t names = in.getU64();
+        for (std::uint64_t i = 0; i < names; ++i)
+            result.estimatorNames.push_back(in.getString());
+        const std::uint64_t stats_count = in.getU64();
+        for (std::uint64_t i = 0; i < stats_count; ++i) {
+            BucketStats stats(in.getU64());
+            stats.loadState(in);
+            result.estimatorStats.push_back(std::move(stats));
+        }
+        result.staticStats.loadState(in);
+    }
     if (!in.atEnd()) {
         fatal(ErrorCategory::kCheckpoint,
               "suite:result has unconsumed bytes");
     }
-    return result;
+    return results;
 }
 
-/** The throwaway per-attempt simulation components of one benchmark. */
-struct BenchmarkParts
+/** Report a checkpoint that verified its CRC but cannot be used. */
+void
+emitUnusable(Telemetry *telemetry, const std::string &benchmark,
+             std::uint64_t generation, const char *error)
 {
-    std::unique_ptr<BranchPredictor> predictor;
-    std::vector<std::unique_ptr<ConfidenceEstimator>> estimators;
-    std::vector<ConfidenceEstimator *> raw;
-    std::unique_ptr<TraceSource> source;
+    if (telemetry == nullptr)
+        return;
+    telemetry->emit(TelemetryEvent(
+        events::kCheckpointCorrupt,
+        {field("benchmark", benchmark), field("generation", generation),
+         field("error", error)}));
+    telemetry->registry().increment("ckpt.corrupt");
+}
+
+/**
+ * One benchmark's outcome in a suite pass: a result per configuration,
+ * or the error that failed the benchmark for every configuration.
+ */
+struct BenchOutcome
+{
+    std::vector<BenchmarkRunResult> perConfig;
+    std::string error;
+    ErrorCategory category = ErrorCategory::kInternal;
+    bool cancelled = false;
+    unsigned attempts = 1;
+    double wallMs = 0.0;
+
+    bool failed() const { return !error.empty(); }
+
+    void
+    fail(std::string what, ErrorCategory why)
+    {
+        error = std::move(what);
+        category = why;
+        cancelled = why == ErrorCategory::kCancelled;
+    }
 };
 
-/** Build fresh predictor/estimators/source for one attempt. */
-BenchmarkParts
-buildParts(const BenchmarkSuite &suite, std::size_t bench,
-           const PredictorFactory &make_predictor,
-           const EstimatorSetFactory &make_estimators,
-           const SourceWrapper &wrap_source, Telemetry *telemetry,
-           const std::string &bench_name)
+/**
+ * Everything a suite pass's benchmarks share. runBenchmark() is the one
+ * guarded loop: retry with backoff, watchdog, suite deadline,
+ * cancellation, checkpoint fallback, and done-markers.
+ */
+struct SuitePass
 {
-    BenchmarkParts parts;
-    parts.predictor = make_predictor();
-    if (!parts.predictor)
-        fatal(ErrorCategory::kConfig, "predictor factory returned null");
-    parts.estimators = make_estimators();
-    parts.raw.reserve(parts.estimators.size());
-    for (auto &estimator : parts.estimators)
-        parts.raw.push_back(estimator.get());
-    parts.source = suite.makeGenerator(bench);
-    if (wrap_source) {
-        parts.source = wrap_source(bench, std::move(parts.source));
-        if (!parts.source) {
-            fatal(ErrorCategory::kConfig,
-                  "source wrapper returned null for benchmark '" +
-                      bench_name + "'");
+    const BenchmarkSuite &suite;
+    const SourceWrapper &wrapSource;
+    const std::vector<SweepConfiguration> &configs;
+    const DriverOptions &options;
+    const SweepOptions &engineSweep;
+    const RunPolicy &policy;
+    SuiteContext &ctx;
+
+    /** Build (and wrap) benchmark @p bench's trace source. */
+    std::unique_ptr<TraceSource>
+    makeSource(std::size_t bench, const std::string &name) const
+    {
+        std::unique_ptr<TraceSource> source = suite.makeGenerator(bench);
+        if (wrapSource) {
+            source = wrapSource(bench, std::move(source));
+            if (!source) {
+                fatal(ErrorCategory::kConfig,
+                      "source wrapper returned null for benchmark '" +
+                          name + "'");
+            }
         }
+        wireSourceTelemetry(*source, options.telemetry, name);
+        return source;
     }
-    wireSourceTelemetry(*parts.source, telemetry, bench_name);
-    return parts;
-}
 
-/** Simulate one benchmark of a suite run (one attempt). */
-BenchmarkRunResult
-runOneBenchmark(const BenchmarkSuite &suite, std::size_t bench,
-                const PredictorFactory &make_predictor,
-                const EstimatorSetFactory &make_estimators,
-                const SourceWrapper &wrap_source,
-                const DriverOptions &options, const RunPolicy &policy)
-{
-    BenchmarkRunResult bench_result;
-    bench_result.name = suite.profile(bench).name;
-    Telemetry *const telemetry = options.telemetry;
+    /** Per-configuration benchmark results of one finished pass. */
+    std::vector<BenchmarkRunResult>
+    collect(std::size_t bench, const std::string &name,
+            SweepRunResult &pass) const
+    {
+        // Re-key per-PC entries so distinct benchmarks never alias.
+        const std::uint64_t tag = static_cast<std::uint64_t>(bench) << 48;
+        std::vector<BenchmarkRunResult> results(configs.size());
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            SweepConfigResult &config = pass.perConfig[c];
+            BenchmarkRunResult &result = results[c];
+            result.name = name;
+            // An isolated per-config failure degrades only this
+            // configuration; the others are bit-exact.
+            result.error = config.error;
+            if (result.failed())
+                continue;
+            result.branches = config.branches;
+            result.mispredicts = config.mispredicts;
+            result.mispredictRate = config.mispredictRate();
+            result.estimatorStats = std::move(config.estimatorStats);
+            result.estimatorNames = std::move(config.estimatorNames);
+            result.branchProfile = std::move(config.branchProfile);
+            for (const auto &[pc, entry] : config.staticProfile.entries()) {
+                result.staticStats.recordAggregate(
+                    tag | pc, static_cast<double>(entry.executions),
+                    static_cast<double>(entry.mispredictions));
+            }
+        }
+        return results;
+    }
 
-    std::unique_ptr<CheckpointStore> store;
-    if (policy.checkpoint.enabled()) {
-        store = std::make_unique<CheckpointStore>(
-            policy.checkpoint.directory, bench_result.name,
-            policy.checkpoint.keepGenerations);
-        wireStoreTelemetry(*store, telemetry, bench_result.name);
-        store->setSpanTracer(options.spans);
-        if (policy.checkpoint.resume) {
-            if (auto done = store->loadCompleted()) {
-                try {
-                    BenchmarkRunResult restored =
-                        deserializeBenchmarkResult(*done);
-                    emitRestored(telemetry, bench_result.name, 0,
-                                 restored.branches);
-                    return restored;
-                } catch (const std::exception &e) {
-                    // The done-marker verified its CRC but does not
-                    // decode under this configuration; re-simulate.
-                    if (telemetry != nullptr) {
-                        telemetry->emit(TelemetryEvent(
-                            events::kCheckpointCorrupt,
-                            {field("benchmark", bench_result.name),
-                             field("generation", std::uint64_t{0}),
-                             field("error", e.what())}));
-                        telemetry->registry().increment(
-                            "ckpt.corrupt");
+    /** One attempt at benchmark @p bench; throws on failure. */
+    std::vector<BenchmarkRunResult>
+    simulate(std::size_t bench, const DriverOptions &run_options) const
+    {
+        const std::string &name = run_options.telemetryLabel;
+        Telemetry *const telemetry = run_options.telemetry;
+        std::unique_ptr<CheckpointStore> store;
+        if (policy.checkpoint.enabled()) {
+            store = std::make_unique<CheckpointStore>(
+                policy.checkpoint.directory, name,
+                policy.checkpoint.keepGenerations);
+            wireStoreTelemetry(*store, telemetry, name);
+            store->setSpanTracer(run_options.spans);
+            if (policy.checkpoint.resume) {
+                if (auto done = store->loadCompleted()) {
+                    try {
+                        auto restored =
+                            deserializeResults(*done, name, configs);
+                        emitRestored(telemetry, name, 0, done->branches);
+                        return restored;
+                    } catch (const std::exception &e) {
+                        // Intact, but not a result of this run's
+                        // configurations: re-simulate.
+                        emitUnusable(telemetry, name, 0, e.what());
                     }
                 }
             }
         }
-    }
 
-    BenchmarkParts parts =
-        buildParts(suite, bench, make_predictor, make_estimators,
-                   wrap_source, telemetry, bench_result.name);
-    // Names come from this run's own instances, so the factories are
-    // invoked exactly once per benchmark attempt (unless a corrupt
-    // checkpoint forces a rebuild below).
-    bench_result.estimatorNames.reserve(parts.estimators.size());
-    for (const auto &estimator : parts.estimators)
-        bench_result.estimatorNames.push_back(estimator->name());
-
-    DriverOptions run_options = options;
-    run_options.telemetryLabel = bench_result.name;
-
-    DriverResult run_result;
-    bool resumed = false;
-    if (store != nullptr && policy.checkpoint.resume) {
-        // Walk generations newest-first; a file that fails CRC fires a
-        // Corrupt event from the store itself, and a file that decodes
-        // but cannot be restored (e.g. config drift) is reported here.
-        // Either way recovery falls back one generation; when no
-        // generation survives, the benchmark re-runs from scratch.
-        for (const std::uint64_t gen : store->generations()) {
-            std::optional<Checkpoint> ckpt = store->load(gen);
-            if (!ckpt.has_value())
-                continue;
-            try {
-                SimulationDriver driver(*parts.predictor, parts.raw,
-                                        run_options);
-                driver.checkpointEvery(policy.checkpoint.everyBranches,
-                                       store.get());
-                run_result = driver.resume(*parts.source, *ckpt);
-                emitRestored(telemetry, bench_result.name, gen,
-                             ckpt->branches);
-                resumed = true;
-                break;
-            } catch (const WatchdogTimeout &) {
-                throw;
-            } catch (const std::exception &e) {
-                if (telemetry != nullptr) {
-                    telemetry->emit(TelemetryEvent(
-                        events::kCheckpointCorrupt,
-                        {field("benchmark", bench_result.name),
-                         field("generation", gen),
-                         field("error", e.what())}));
-                    telemetry->registry().increment("ckpt.corrupt");
-                }
-                // A failed restore may have half-mutated the
-                // components; rebuild them before the next candidate.
-                parts = buildParts(suite, bench, make_predictor,
-                                   make_estimators, wrap_source,
-                                   telemetry, bench_result.name);
-            }
-        }
-    }
-    if (!resumed) {
-        SimulationDriver driver(*parts.predictor, parts.raw,
-                                run_options);
+        SweepEngine engine(configs, run_options, engineSweep);
         if (store != nullptr) {
-            driver.checkpointEvery(policy.checkpoint.everyBranches,
+            engine.checkpointEvery(policy.checkpoint.everyBranches,
                                    store.get());
         }
-        run_result = driver.run(*parts.source);
-    }
-
-    bench_result.wallMs = run_result.wallMs;
-    bench_result.branches = run_result.branches;
-    bench_result.mispredicts = run_result.mispredicts;
-    bench_result.mispredictRate = run_result.mispredictRate();
-    bench_result.estimatorStats = std::move(run_result.estimatorStats);
-    bench_result.branchProfile = std::move(run_result.branchProfile);
-
-    if (options.profileStatic) {
-        // Re-key per-PC entries so distinct benchmarks never alias.
-        const std::uint64_t tag = static_cast<std::uint64_t>(bench)
-                                  << 48;
-        for (const auto &[pc, entry] :
-             run_result.staticProfile.entries()) {
-            bench_result.staticStats.recordAggregate(
-                tag | pc, static_cast<double>(entry.executions),
-                static_cast<double>(entry.mispredictions));
-        }
-    }
-
-    if (store != nullptr) {
-        // Mark the benchmark complete: the done-marker carries the
-        // full result, so a resumed suite run skips this benchmark
-        // entirely. Mid-run generations are then dead weight.
-        store->writeCompleted(serializeBenchmarkResult(bench_result));
-        store->removeGenerations();
-    }
-    return bench_result;
-}
-
-/**
- * Run one benchmark under the policy: exceptions become the result's
- * error field, transient failures get bounded retries with exponential
- * backoff, and terminal categories — watchdog timeouts, cancellation,
- * configuration errors (Error::retryable() == false) — fail
- * immediately regardless of maxAttempts. Never throws, so a failure
- * cannot wedge the worker pool.
- */
-BenchmarkRunResult
-runGuardedImpl(const BenchmarkSuite &suite, std::size_t bench,
-               const PredictorFactory &make_predictor,
-               const EstimatorSetFactory &make_estimators,
-               const SourceWrapper &wrap_source,
-               const DriverOptions &options, const RunPolicy &policy,
-               const SuiteContext &ctx)
-{
-    Telemetry *const telemetry = options.telemetry;
-    const std::string bench_name = suite.profile(bench).name;
-    const std::string span_name = "bench:" + bench_name;
-    ScopedSpan bench_span(options.spans, span_name.c_str());
-    const auto start = std::chrono::steady_clock::now();
-    if (telemetry != nullptr) {
-        telemetry->emit(
-            TelemetryEvent(events::kBenchmarkStarted,
-                           {field("benchmark", bench_name)}));
-    }
-    const unsigned max_attempts = std::max(1u, policy.maxAttempts);
-    BenchmarkRunResult failed;
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        // A benchmark the suite deadline beat to the start line is
-        // marked cancelled without consuming a simulation attempt.
-        if (ctx.hasDeadline() && ctx.remainingMs() == 0) {
-            failed = BenchmarkRunResult{};
-            failed.name = bench_name;
-            failed.error = "suite deadline of " +
-                           std::to_string(ctx.deadlineMs) +
-                           " ms exhausted";
-            failed.errorCategory = ErrorCategory::kCancelled;
-            failed.cancelled = true;
-            failed.attempts = attempt;
-            break;
-        }
-        DriverOptions attempt_options = options;
-        attempt_options.cancel = &ctx.token;
-        attempt_options.wallClockLimitMs =
-            ctx.clipWatchdogMs(options.wallClockLimitMs);
-        bool retryable = false;
-        try {
-            BenchmarkRunResult ok =
-                runOneBenchmark(suite, bench, make_predictor,
-                                make_estimators, wrap_source,
-                                attempt_options, policy);
-            ok.attempts = attempt;
-            ok.wallMs = elapsedMsSince(start);
-            return ok;
-        } catch (const WatchdogTimeout &e) {
-            failed = BenchmarkRunResult{};
-            failed.name = bench_name;
-            failed.error = e.what();
-            failed.errorCategory = ErrorCategory::kTimeout;
-            failed.attempts = attempt;
-            failed.wallMs = elapsedMsSince(start);
-            if (telemetry != nullptr) {
-                telemetry->emit(TelemetryEvent(
-                    events::kWatchdogTimeout,
-                    {field("benchmark", bench_name),
-                     field("attempt",
-                           static_cast<std::uint64_t>(attempt)),
-                     field("error", failed.error)}));
-                telemetry->registry().increment(
-                    "suite.watchdog_timeouts");
+        std::unique_ptr<TraceSource> source = makeSource(bench, name);
+        SweepRunResult pass;
+        bool resumed = false;
+        if (store != nullptr && policy.checkpoint.resume) {
+            // Newest generation first. A file that fails its CRC is
+            // reported by the store itself; one that decodes but does
+            // not restore (config drift, a retired layout) is reported
+            // here. Either way recovery falls back one generation, and
+            // with none left the benchmark re-runs from scratch. The
+            // engine rebuilds its states on every call, so only the
+            // source needs refreshing.
+            for (const std::uint64_t gen : store->generations()) {
+                std::optional<Checkpoint> ckpt = store->load(gen);
+                if (!ckpt.has_value())
+                    continue;
+                try {
+                    pass = engine.resume(*source, *ckpt);
+                    emitRestored(telemetry, name, gen, ckpt->branches);
+                    resumed = true;
+                    break;
+                } catch (const WatchdogTimeout &) {
+                    throw;
+                } catch (const std::exception &e) {
+                    emitUnusable(telemetry, name, gen, e.what());
+                    source = makeSource(bench, name);
+                }
             }
-            return failed;
-        } catch (const std::exception &e) {
-            failed = BenchmarkRunResult{};
-            failed.name = bench_name;
-            failed.error = e.what();
-            failed.errorCategory = categoryOf(e);
-            failed.cancelled =
-                failed.errorCategory == ErrorCategory::kCancelled;
-            failed.attempts = attempt;
-            retryable = isRetryable(e);
-        } catch (...) {
-            failed = BenchmarkRunResult{};
-            failed.name = bench_name;
-            failed.error = "unknown exception";
-            failed.attempts = attempt;
-            retryable = true;
         }
-        if (!retryable)
-            break;
-        if (attempt < max_attempts) {
+        if (!resumed)
+            pass = engine.run(*source);
+        if (telemetry != nullptr) {
+            telemetry->registry().observe("sweep.bench_wall_ms",
+                                          pass.wallMs);
+        }
+
+        std::vector<BenchmarkRunResult> results =
+            collect(bench, name, pass);
+        if (store != nullptr) {
+            // The done-marker carries every configuration's result, so
+            // a resumed run skips this benchmark entirely; mid-run
+            // generations are then dead weight. A pass with an
+            // isolated config failure leaves no marker, so a resume
+            // re-simulates it.
+            const bool all_ok = std::none_of(
+                results.begin(), results.end(),
+                [](const BenchmarkRunResult &r) { return r.failed(); });
+            if (all_ok)
+                store->writeCompleted(
+                    serializeResults(name, configs, results));
+            store->removeGenerations();
+        }
+        return results;
+    }
+
+    /**
+     * Run benchmark @p bench under the policy. Exceptions become the
+     * outcome's error; transient failures get bounded retries with
+     * exponential backoff; terminal categories — watchdog timeouts,
+     * cancellation, configuration errors (Error::retryable() ==
+     * false) — fail at once. Never throws, so a failure cannot wedge
+     * a scheduler thread. Emits benchmark_started/finished as the
+     * benchmark runs, so progress sinks see results live.
+     */
+    BenchOutcome
+    runBenchmark(std::size_t bench) const
+    {
+        const std::string name = suite.profile(bench).name;
+        const std::string span_name = "bench:" + name;
+        ScopedSpan bench_span(options.spans, span_name.c_str());
+        const auto start = std::chrono::steady_clock::now();
+        Telemetry *const telemetry = options.telemetry;
+        if (telemetry != nullptr) {
+            telemetry->emit(TelemetryEvent(events::kBenchmarkStarted,
+                                           {field("benchmark", name)}));
+        }
+
+        DriverOptions run_options = options;
+        run_options.telemetryLabel = name;
+        run_options.cancel = &ctx.token;
+        const unsigned max_attempts = std::max(1u, policy.maxAttempts);
+        BenchOutcome outcome;
+        for (unsigned attempt = 1;; ++attempt) {
+            outcome = BenchOutcome{};
+            outcome.attempts = attempt;
+            // Cancelled (fail-fast teardown, external token) or
+            // deadline-starved benchmarks stop before simulating.
+            if (ctx.token.cancelled()) {
+                outcome.fail("suite run cancelled",
+                             ErrorCategory::kCancelled);
+                break;
+            }
+            if (ctx.hasDeadline() && ctx.remainingMs() == 0) {
+                outcome.fail("suite deadline of " +
+                                 std::to_string(ctx.deadlineMs) +
+                                 " ms exhausted",
+                             ErrorCategory::kCancelled);
+                break;
+            }
+            run_options.wallClockLimitMs =
+                ctx.clipWatchdogMs(options.wallClockLimitMs);
+            bool retryable = false;
+            try {
+                outcome.perConfig = simulate(bench, run_options);
+                break;
+            } catch (const WatchdogTimeout &e) {
+                // Terminal: re-running a blown budget loses again.
+                outcome.fail(e.what(), ErrorCategory::kTimeout);
+                if (telemetry != nullptr) {
+                    telemetry->emit(TelemetryEvent(
+                        events::kWatchdogTimeout,
+                        {field("benchmark", name),
+                         field("attempt",
+                               static_cast<std::uint64_t>(attempt)),
+                         field("error", outcome.error)}));
+                    telemetry->registry().increment(
+                        "suite.watchdog_timeouts");
+                }
+                break;
+            } catch (const std::exception &e) {
+                outcome.fail(e.what(), categoryOf(e));
+                retryable = isRetryable(e);
+            } catch (...) {
+                outcome.fail("unknown exception",
+                             ErrorCategory::kInternal);
+                retryable = true;
+            }
+            if (!retryable || attempt == max_attempts)
+                break;
             if (telemetry != nullptr) {
                 telemetry->emit(TelemetryEvent(
                     events::kBenchmarkRetry,
-                    {field("benchmark", bench_name),
-                     field("attempt",
-                           static_cast<std::uint64_t>(attempt)),
-                     field("error", failed.error)}));
+                    {field("benchmark", name),
+                     field("attempt", static_cast<std::uint64_t>(attempt)),
+                     field("error", outcome.error)}));
                 telemetry->registry().increment("suite.retries");
             }
-            if (!sleepBeforeRetry(policy, ctx, attempt, bench_name,
+            if (!sleepBeforeRetry(policy, ctx, attempt, name,
                                   options.spans))
                 break; // cancelled (or budget gone) mid-backoff
         }
-    }
-    failed.wallMs = elapsedMsSince(start);
-    return failed;
-}
 
-/**
- * runGuardedImpl plus completion telemetry. The benchmark_finished
- * event is emitted here, as each benchmark completes, so progress
- * sinks (stderr heartbeat) see results live during parallel runs
- * rather than a burst after the join barrier. Telemetry::emit and
- * MetricsRegistry are thread-safe, so workers emit directly.
- */
-BenchmarkRunResult
-runGuarded(const BenchmarkSuite &suite, std::size_t bench,
-           const PredictorFactory &make_predictor,
-           const EstimatorSetFactory &make_estimators,
-           const SourceWrapper &wrap_source,
-           const DriverOptions &options, const RunPolicy &policy,
-           const SuiteContext &ctx)
-{
-    BenchmarkRunResult bench_result =
-        runGuardedImpl(suite, bench, make_predictor, make_estimators,
-                       wrap_source, options, policy, ctx);
-    if (Telemetry *const telemetry = options.telemetry) {
-        telemetry->emit(TelemetryEvent(
-            events::kBenchmarkFinished,
-            {field("benchmark", bench_result.name),
-             field("wall_ms", bench_result.wallMs),
-             field("attempts",
-                   static_cast<std::uint64_t>(bench_result.attempts)),
-             field("branches", bench_result.branches),
-             field("mispredicts", bench_result.mispredicts),
-             field("mispredict_rate", bench_result.mispredictRate),
-             field("error", bench_result.error),
-             field("error_category",
-                   bench_result.failed()
-                       ? toString(bench_result.errorCategory)
-                       : "")}));
-        MetricsRegistry &registry = telemetry->registry();
-        registry.increment("suite.benchmarks");
-        registry.observe("suite.bench_wall_ms", bench_result.wallMs);
-        if (bench_result.failed())
-            registry.increment("suite.failures");
+        // The pass is shared: each configuration carries an equal
+        // share of the benchmark's wall time, so summing over
+        // configurations recovers (not multiplies) the real cost.
+        outcome.wallMs = elapsedMsSince(start);
+        for (auto &result : outcome.perConfig) {
+            result.attempts = outcome.attempts;
+            result.wallMs =
+                outcome.wallMs / static_cast<double>(configs.size());
+        }
+        if (telemetry != nullptr) {
+            // Per-configuration counts are in sweep_config_finished;
+            // this event carries the first configuration's.
+            const BenchmarkRunResult empty;
+            const BenchmarkRunResult &first =
+                outcome.failed() ? empty : outcome.perConfig.front();
+            telemetry->emit(TelemetryEvent(
+                events::kBenchmarkFinished,
+                {field("benchmark", name),
+                 field("wall_ms", outcome.wallMs),
+                 field("attempts",
+                       static_cast<std::uint64_t>(outcome.attempts)),
+                 field("branches", first.branches),
+                 field("mispredicts", first.mispredicts),
+                 field("mispredict_rate", first.mispredictRate),
+                 field("error", outcome.error),
+                 field("error_category",
+                       outcome.failed() ? toString(outcome.category)
+                                        : "")}));
+            MetricsRegistry &registry = telemetry->registry();
+            registry.increment("suite.benchmarks");
+            registry.observe("suite.bench_wall_ms", outcome.wallMs);
+            if (outcome.failed())
+                registry.increment("suite.failures");
+        }
+        return outcome;
     }
-    return bench_result;
-}
+};
 
 /**
  * Fill a suite result's composites (Section 1.2 equal-weight) from its
@@ -753,153 +733,10 @@ SuiteRunner::run(const PredictorFactory &make_predictor,
                  const EstimatorSetFactory &make_estimators,
                  DriverOptions options, RunPolicy policy) const
 {
-    SuiteRunResult result;
-    if (policy.watchdogMs != 0)
-        options.wallClockLimitMs = policy.watchdogMs;
-    const bool fail_fast = policy.errorMode == ErrorMode::kFailFast;
-    SuiteContext ctx(policy);
-
-    // Benchmarks are independent; fan them out. Results are collected
-    // in suite order, so output is identical to a sequential run —
-    // including which failure fail-fast reports (always the first in
-    // suite order, regardless of completion order).
-    const bool sequential =
-        std::getenv("CONFSIM_SEQUENTIAL") != nullptr ||
-        std::thread::hardware_concurrency() <= 1;
-
-    Telemetry *const telemetry = options.telemetry;
-    const auto suite_start = std::chrono::steady_clock::now();
-    if (telemetry != nullptr) {
-        telemetry->emit(TelemetryEvent(
-            events::kSuiteRunStarted,
-            {field("benchmarks",
-                   static_cast<std::uint64_t>(suite_.size())),
-             field("error_mode",
-                   fail_fast ? "fail_fast" : "continue_on_error"),
-             field("max_attempts",
-                   static_cast<std::uint64_t>(
-                       std::max(1u, policy.maxAttempts))),
-             field("watchdog_ms", options.wallClockLimitMs),
-             field("parallel", !sequential)}));
-    }
-
-    std::vector<BenchmarkRunResult> bench_results(suite_.size());
-    if (sequential) {
-        for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
-            bench_results[bench] =
-                runGuarded(suite_, bench, make_predictor,
-                           make_estimators, sourceWrapper_, options,
-                           policy, ctx);
-            if (fail_fast && bench_results[bench].failed())
-                break; // the loud rethrow below picks this up
-        }
-    } else {
-        std::vector<std::future<BenchmarkRunResult>> futures;
-        futures.reserve(suite_.size());
-        for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
-            futures.push_back(std::async(
-                std::launch::async, [&, bench] {
-                    BenchmarkRunResult bench_result = runGuarded(
-                        suite_, bench, make_predictor, make_estimators,
-                        sourceWrapper_, options, policy, ctx);
-                    // Fail-fast teardown: cancel the run token so
-                    // sibling benchmarks unwind at their next
-                    // cooperative poll instead of simulating to
-                    // completion only to be discarded.
-                    if (fail_fast && bench_result.failed() &&
-                        !bench_result.cancelled)
-                        ctx.token.cancel();
-                    return bench_result;
-                }));
-        }
-        for (std::size_t bench = 0; bench < suite_.size(); ++bench)
-            bench_results[bench] = futures[bench].get();
-    }
-
-    if (fail_fast) {
-        // Surface the root cause: the first non-cancelled failure in
-        // suite order. Cancelled entries are teardown collateral (or,
-        // when every failure is a cancellation, an external cancel /
-        // suite deadline — then the first of those is the cause).
-        const BenchmarkRunResult *culprit = nullptr;
-        for (const auto &bench_result : bench_results) {
-            if (bench_result.failed() && !bench_result.cancelled) {
-                culprit = &bench_result;
-                break;
-            }
-        }
-        if (culprit == nullptr) {
-            for (const auto &bench_result : bench_results) {
-                if (bench_result.failed()) {
-                    culprit = &bench_result;
-                    break;
-                }
-            }
-        }
-        if (culprit != nullptr) {
-            if (telemetry != nullptr) {
-                std::uint64_t failures = 0;
-                for (const auto &other : bench_results)
-                    failures += other.failed() ? 1 : 0;
-                telemetry->emit(TelemetryEvent(
-                    events::kSuiteRunFinished,
-                    {field("wall_ms", elapsedMsSince(suite_start)),
-                     field("degraded", true),
-                     field("failed_benchmarks", failures),
-                     field("survivors", std::uint64_t{0}),
-                     field("error", culprit->error)}));
-                // Flush now: if the caller doesn't catch the
-                // fatal() exception, std::terminate skips
-                // unwinding and buffered sink tails (including
-                // the event above) would be lost.
-                telemetry->finish();
-            }
-            fatal(culprit->errorCategory,
-                  "benchmark '" + culprit->name +
-                      "' failed: " + culprit->error);
-        }
-    }
-
-    for (auto &bench_result : bench_results)
-        result.perBenchmark.push_back(std::move(bench_result));
-    const std::size_t survivors =
-        computeComposites(result, options.profileStatic,
-                          suite_.size());
-
-    if (options.profileBranches) {
-        // Re-key per-PC entries with the same (bench << 48) tag the
-        // static composite uses, so totals are exact sums over the
-        // surviving benchmarks.
-        for (std::size_t bench = 0; bench < result.perBenchmark.size();
-             ++bench) {
-            const auto &bench_result = result.perBenchmark[bench];
-            if (!bench_result.failed()) {
-                result.branchProfile.mergeFrom(
-                    bench_result.branchProfile,
-                    static_cast<std::uint64_t>(bench) << 48);
-            }
-        }
-    }
-
-    result.wallMs = elapsedMsSince(suite_start);
-    if (telemetry != nullptr) {
-        telemetry->emit(TelemetryEvent(
-            events::kSuiteRunFinished,
-            {field("wall_ms", result.wallMs),
-             field("composite_mispredict_rate",
-                   result.compositeMispredictRate),
-             field("degraded", result.degraded),
-             field("failed_benchmarks",
-                   static_cast<std::uint64_t>(
-                       result.failedBenchmarks())),
-             field("zero_record_benchmarks",
-                   static_cast<std::uint64_t>(
-                       result.zeroRecordBenchmarks)),
-             field("survivors",
-                   static_cast<std::uint64_t>(survivors))}));
-        telemetry->registry().observe("suite.wall_ms", result.wallMs);
-    }
-    return result;
+    SweepSuiteResult swept =
+        runSweep({SweepConfiguration{"", make_predictor, make_estimators}},
+                 std::move(options), SweepOptions{}, std::move(policy));
+    return std::move(swept.perConfig.front());
 }
 
 SweepSuiteResult
@@ -916,36 +753,33 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
     const bool fail_fast = policy.errorMode == ErrorMode::kFailFast;
     SuiteContext ctx(policy);
     Telemetry *const telemetry = options.telemetry;
-    const auto sweep_start = std::chrono::steady_clock::now();
-
-    SweepSuiteResult result;
-    result.labels.reserve(configs.size());
-    for (const auto &config : configs)
-        result.labels.push_back(config.label);
-    result.perConfig.resize(configs.size());
+    const auto suite_start = std::chrono::steady_clock::now();
 
     // One globally sized worker pool is shared by every benchmark's
-    // sweep pass. Each pass shards its configurations over at most
+    // pass. Each pass shards its configurations over at most
     // min(pool, configs) workers; when that leaves workers idle,
     // additional benchmarks run their passes concurrently on the
     // same pool (bench_slots > 1) instead of leaving cores idle.
     // A caller-provided SweepOptions::pool (e.g. the sweep service
     // running many tenants' jobs over one host-sized pool) is used
     // as-is and never destroyed here; otherwise runSweep owns a pool
-    // sized from sweep.threads.
+    // sized from sweep.threads — unless there is a single
+    // configuration, which always replays inline.
     SweepWorkerPool *const shared_pool = sweep.pool;
     const unsigned pool_workers =
         shared_pool != nullptr
             ? std::max(1u, shared_pool->workers())
-            : resolveSweepPoolWorkers(sweep.threads);
+            : resolveSweepWorkers(sweep.threads);
     std::unique_ptr<SweepWorkerPool> pool;
     SweepOptions engine_sweep = sweep;
     engine_sweep.pool = shared_pool;
     // Continue-on-error isolates failures at configuration granularity
     // too: one configuration's fault freezes only that configuration
-    // while the rest of the pass stays bit-exact (sweep_engine.h).
-    engine_sweep.isolateConfigFailures = !fail_fast;
-    if (shared_pool == nullptr && pool_workers > 1) {
+    // while the rest of the pass stays bit-exact (sweep_engine.h). A
+    // lone configuration has no survivors, so its failure fails the
+    // benchmark and gets the policy's retries.
+    engine_sweep.isolateConfigFailures = !fail_fast && configs.size() > 1;
+    if (shared_pool == nullptr && pool_workers > 1 && configs.size() > 1) {
         pool = std::make_unique<SweepWorkerPool>(pool_workers);
         engine_sweep.pool = pool.get();
     }
@@ -953,195 +787,39 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
         sweep.benchParallel, pool_workers, configs.size(),
         suite_.size());
 
-    // Phase 1: every benchmark's sweep pass produces an outcome —
-    // either a SweepRunResult or an error string. Error isolation,
-    // retries, watchdog handling, and checkpoint/resume are all
-    // per-benchmark, so outcomes are independent and may be computed
-    // concurrently; merging (phase 2) stays in suite order.
-    struct BenchOutcome
-    {
-        std::string error;
-        ErrorCategory category = ErrorCategory::kInternal;
-        bool cancelled = false;
-        SweepRunResult sweep;
-    };
+    if (telemetry != nullptr) {
+        telemetry->emit(TelemetryEvent(
+            events::kSuiteRunStarted,
+            {field("benchmarks",
+                   static_cast<std::uint64_t>(suite_.size())),
+             field("configs", static_cast<std::uint64_t>(configs.size())),
+             field("error_mode",
+                   fail_fast ? "fail_fast" : "continue_on_error"),
+             field("max_attempts",
+                   static_cast<std::uint64_t>(
+                       std::max(1u, policy.maxAttempts))),
+             field("watchdog_ms", options.wallClockLimitMs),
+             field("parallel", bench_slots > 1)}));
+    }
+
+    // Phase 1: every benchmark produces an outcome. Outcomes are
+    // independent, so they may be computed concurrently; merging
+    // (phase 2) stays in suite order, so output — including which
+    // failure fail-fast reports — is identical at any schedule.
+    const SuitePass pass{suite_,  sourceWrapper_, configs, options,
+                         engine_sweep, policy, ctx};
     std::vector<BenchOutcome> outcomes(suite_.size());
-
-    const auto run_bench = [&](std::size_t bench) {
-        const std::string bench_name = suite_.profile(bench).name;
-        const std::string span_name = "bench:" + bench_name;
-        ScopedSpan bench_span(options.spans, span_name.c_str());
-        DriverOptions run_options = options;
-        run_options.telemetryLabel = bench_name;
-        run_options.cancel = &ctx.token;
-
-        std::unique_ptr<CheckpointStore> store;
-        if (policy.checkpoint.enabled()) {
-            // A distinct store label keeps sweep generations from
-            // colliding with sequential-run checkpoints of the same
-            // benchmark in a shared directory (the formats differ).
-            store = std::make_unique<CheckpointStore>(
-                policy.checkpoint.directory, bench_name + "-sweep",
-                policy.checkpoint.keepGenerations);
-            wireStoreTelemetry(*store, telemetry, bench_name);
-            store->setSpanTracer(options.spans);
-        }
-
-        const auto build_source = [&] {
-            std::unique_ptr<TraceSource> source =
-                suite_.makeGenerator(bench);
-            if (sourceWrapper_) {
-                source = sourceWrapper_(bench, std::move(source));
-                if (!source) {
-                    fatal(ErrorCategory::kConfig,
-                          "source wrapper returned null for "
-                          "benchmark '" +
-                              bench_name + "'");
-                }
-            }
-            wireSourceTelemetry(*source, telemetry, bench_name);
-            return source;
-        };
-
-        BenchOutcome &outcome = outcomes[bench];
-        std::string &error = outcome.error;
-        SweepRunResult &bench_sweep = outcome.sweep;
-        const unsigned max_attempts = std::max(1u, policy.maxAttempts);
-        for (unsigned attempt = 1; attempt <= max_attempts;
-             ++attempt) {
-            // Cancelled (fail-fast teardown, external token) or
-            // deadline-starved benchmarks stop before simulating.
-            if (ctx.token.cancelled()) {
-                error = "sweep pass cancelled";
-                outcome.category = ErrorCategory::kCancelled;
-                outcome.cancelled = true;
-                break;
-            }
-            if (ctx.hasDeadline() && ctx.remainingMs() == 0) {
-                error = "suite deadline of " +
-                        std::to_string(ctx.deadlineMs) +
-                        " ms exhausted";
-                outcome.category = ErrorCategory::kCancelled;
-                outcome.cancelled = true;
-                break;
-            }
-            run_options.wallClockLimitMs =
-                ctx.clipWatchdogMs(options.wallClockLimitMs);
-            error.clear();
-            outcome.category = ErrorCategory::kInternal;
-            outcome.cancelled = false;
-            bool retryable = false;
-            try {
-                SweepEngine engine(configs, run_options,
-                                   engine_sweep);
-                if (store != nullptr) {
-                    engine.checkpointEvery(
-                        policy.checkpoint.everyBranches, store.get());
-                }
-                std::unique_ptr<TraceSource> source = build_source();
-                bool resumed = false;
-                if (store != nullptr && policy.checkpoint.resume) {
-                    // Newest valid generation wins; a generation that
-                    // decodes but does not restore under this
-                    // configuration falls back one generation (the
-                    // engine rebuilds its states on every attempt, so
-                    // only the source needs refreshing here).
-                    for (const std::uint64_t gen :
-                         store->generations()) {
-                        std::optional<Checkpoint> ckpt =
-                            store->load(gen);
-                        if (!ckpt.has_value())
-                            continue;
-                        try {
-                            bench_sweep =
-                                engine.resume(*source, *ckpt);
-                            emitRestored(telemetry, bench_name, gen,
-                                         ckpt->branches);
-                            resumed = true;
-                            break;
-                        } catch (const WatchdogTimeout &) {
-                            throw;
-                        } catch (const std::exception &e) {
-                            if (telemetry != nullptr) {
-                                telemetry->emit(TelemetryEvent(
-                                    events::kCheckpointCorrupt,
-                                    {field("benchmark", bench_name),
-                                     field("generation", gen),
-                                     field("error", e.what())}));
-                                telemetry->registry().increment(
-                                    "ckpt.corrupt");
-                            }
-                            source = build_source();
-                        }
-                    }
-                }
-                if (!resumed)
-                    bench_sweep = engine.run(*source);
-                break;
-            } catch (const WatchdogTimeout &e) {
-                error = e.what();
-                outcome.category = ErrorCategory::kTimeout;
-                if (telemetry != nullptr) {
-                    telemetry->emit(TelemetryEvent(
-                        events::kWatchdogTimeout,
-                        {field("benchmark", bench_name),
-                         field("attempt",
-                               static_cast<std::uint64_t>(attempt)),
-                         field("error", error)}));
-                    telemetry->registry().increment(
-                        "suite.watchdog_timeouts");
-                }
-                break; // terminal: re-running a blown budget loses too
-            } catch (const std::exception &e) {
-                error = e.what();
-                outcome.category = categoryOf(e);
-                outcome.cancelled =
-                    outcome.category == ErrorCategory::kCancelled;
-                retryable = isRetryable(e);
-            } catch (...) {
-                error = "unknown exception";
-                retryable = true;
-            }
-            if (!retryable)
-                break;
-            if (attempt < max_attempts) {
-                if (telemetry != nullptr) {
-                    telemetry->emit(TelemetryEvent(
-                        events::kBenchmarkRetry,
-                        {field("benchmark", bench_name),
-                         field("attempt",
-                               static_cast<std::uint64_t>(attempt)),
-                         field("error", error)}));
-                    telemetry->registry().increment("suite.retries");
-                }
-                if (!sleepBeforeRetry(policy, ctx, attempt,
-                                      bench_name, options.spans))
-                    break; // cancelled mid-backoff
-            }
-        }
-
-        if (error.empty() && store != nullptr) {
-            // The benchmark finished; its mid-run generations are dead
-            // weight (the sweep path keeps no done-markers — results
-            // live in the returned SweepSuiteResult only).
-            store->removeGenerations();
-        }
-    };
-
     if (bench_slots <= 1) {
         for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
-            run_bench(bench);
+            outcomes[bench] = pass.runBenchmark(bench);
             // Fail-fast: nothing after the first failure will be
             // merged, so don't spend time simulating it.
-            if (fail_fast && !outcomes[bench].error.empty())
+            if (fail_fast && outcomes[bench].failed())
                 break;
         }
     } else {
         // Benchmark pipelining: bench_slots scheduler threads pull
-        // benchmark indices; the replay work itself still runs on the
-        // shared pool. Exceptions escaping a pass (e.g. a fatal store
-        // failure) become that benchmark's error, mirroring what the
-        // sequential path would surface.
+        // benchmark indices; replay itself runs on the shared pool.
         std::atomic<std::size_t> next{0};
         const auto pump = [&] {
             for (;;) {
@@ -1149,156 +827,125 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (bench >= suite_.size())
                     return;
-                try {
-                    run_bench(bench);
-                } catch (const std::exception &e) {
-                    outcomes[bench].error = e.what();
-                    outcomes[bench].category = categoryOf(e);
-                    outcomes[bench].cancelled =
-                        outcomes[bench].category ==
-                        ErrorCategory::kCancelled;
-                } catch (...) {
-                    outcomes[bench].error = "unknown exception";
-                }
+                outcomes[bench] = pass.runBenchmark(bench);
                 // Fail-fast teardown: the first real failure cancels
                 // the run token so sibling passes (and queued ones)
                 // unwind instead of simulating doomed work.
-                if (fail_fast && !outcomes[bench].error.empty() &&
+                if (fail_fast && outcomes[bench].failed() &&
                     !outcomes[bench].cancelled)
                     ctx.token.cancel();
             }
         };
         std::vector<std::thread> schedulers;
-        const unsigned spawned = std::min<unsigned>(
-            bench_slots, static_cast<unsigned>(suite_.size()));
-        schedulers.reserve(spawned);
-        for (unsigned s = 0; s < spawned; ++s)
+        for (unsigned s = 0; s < bench_slots; ++s)
             schedulers.emplace_back(pump);
         for (auto &thread : schedulers)
             thread.join();
     }
 
-    // Fail-fast surfaces the root cause: the first non-cancelled
-    // failure in suite order (cancelled entries are teardown
-    // collateral; when every failure is a cancellation — external
-    // cancel or suite deadline — the first of those is the cause).
     if (fail_fast) {
-        const BenchOutcome *culprit = nullptr;
-        std::size_t culprit_bench = 0;
-        for (std::size_t bench = 0;
-             bench < suite_.size() && culprit == nullptr; ++bench) {
-            if (!outcomes[bench].error.empty() &&
-                !outcomes[bench].cancelled) {
-                culprit = &outcomes[bench];
-                culprit_bench = bench;
-            }
-        }
-        for (std::size_t bench = 0;
-             bench < suite_.size() && culprit == nullptr; ++bench) {
-            if (!outcomes[bench].error.empty()) {
-                culprit = &outcomes[bench];
-                culprit_bench = bench;
-            }
-        }
+        // Surface the root cause: the first non-cancelled failure in
+        // suite order. Cancelled entries are teardown collateral (or,
+        // when every failure is a cancellation, an external cancel /
+        // suite deadline — then the first of those is the cause).
+        const auto first_failure = [&](bool skip_cancelled) {
+            std::size_t bench = 0;
+            while (bench < suite_.size() &&
+                   (!outcomes[bench].failed() ||
+                    (skip_cancelled && outcomes[bench].cancelled)))
+                ++bench;
+            return bench;
+        };
+        std::size_t culprit_bench = first_failure(true);
+        if (culprit_bench == suite_.size())
+            culprit_bench = first_failure(false);
+        const BenchOutcome *culprit = culprit_bench < suite_.size()
+                                          ? &outcomes[culprit_bench]
+                                          : nullptr;
         if (culprit != nullptr) {
-            if (telemetry != nullptr)
+            if (telemetry != nullptr) {
+                std::uint64_t failures = 0;
+                for (const auto &outcome : outcomes)
+                    failures += outcome.failed() ? 1 : 0;
+                telemetry->emit(TelemetryEvent(
+                    events::kSuiteRunFinished,
+                    {field("wall_ms", elapsedMsSince(suite_start)),
+                     field("degraded", true),
+                     field("failed_benchmarks", failures),
+                     field("survivors", std::uint64_t{0}),
+                     field("error", culprit->error)}));
+                // Flush now: if the caller doesn't catch the fatal()
+                // exception, std::terminate skips unwinding and the
+                // buffered sink tail (including the event above)
+                // would be lost.
                 telemetry->finish();
+            }
             fatal(culprit->category,
                   "benchmark '" + suite_.profile(culprit_bench).name +
                       "' failed: " + culprit->error);
         }
     }
 
-    // Phase 2: merge outcomes in suite order — identical output
-    // ordering and fail-fast semantics at any bench_slots value.
+    // Phase 2: merge outcomes in suite order.
+    SweepSuiteResult result;
+    result.perConfig.resize(configs.size());
+    for (const auto &config : configs)
+        result.labels.push_back(config.label);
     for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
-        const std::string bench_name = suite_.profile(bench).name;
         BenchOutcome &outcome = outcomes[bench];
-
-        if (!outcome.error.empty()) {
-            // Every configuration consumed the same pass, so the
-            // benchmark is failed for all of them.
-            for (auto &config_result : result.perConfig) {
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            SuiteRunResult &config_result = result.perConfig[c];
+            if (outcome.failed()) {
+                // Every configuration consumed the same pass, so the
+                // benchmark failed for all of them.
                 BenchmarkRunResult failed;
-                failed.name = bench_name;
+                failed.name = suite_.profile(bench).name;
                 failed.error = outcome.error;
                 failed.errorCategory = outcome.category;
                 failed.cancelled = outcome.cancelled;
-                config_result.perBenchmark.push_back(
-                    std::move(failed));
-            }
-            continue;
-        }
-
-        SweepRunResult &bench_sweep = outcome.sweep;
-        // The pass is shared across configurations; attribute an
-        // equal share of its wall time to each so that summing over
-        // configurations recovers (not multiplies) the real cost.
-        // The un-divided pass time is observed once per benchmark as
-        // sweep.bench_wall_ms (see docs/performance.md).
-        const double wall_share =
-            bench_sweep.wallMs /
-            static_cast<double>(configs.size());
-        if (telemetry != nullptr) {
-            telemetry->registry().observe("sweep.bench_wall_ms",
-                                          bench_sweep.wallMs);
-        }
-        const std::uint64_t tag = static_cast<std::uint64_t>(bench)
-                                  << 48;
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            SweepConfigResult &config_result =
-                bench_sweep.perConfig[c];
-            BenchmarkRunResult bench_result;
-            bench_result.name = bench_name;
-            if (config_result.failed()) {
-                // Isolated per-config failure: only this
-                // configuration's composite degrades; the other
-                // configurations' results from the same pass are
-                // bit-exact and merged normally below.
-                bench_result.error = config_result.error;
-                result.perConfig[c].perBenchmark.push_back(
-                    std::move(bench_result));
+                failed.attempts = outcome.attempts;
+                failed.wallMs = outcome.wallMs;
+                config_result.perBenchmark.push_back(std::move(failed));
                 continue;
             }
-            bench_result.branches = config_result.branches;
-            bench_result.mispredicts = config_result.mispredicts;
-            bench_result.mispredictRate =
-                config_result.mispredictRate();
-            bench_result.estimatorStats =
-                std::move(config_result.estimatorStats);
-            bench_result.estimatorNames =
-                std::move(config_result.estimatorNames);
-            bench_result.branchProfile =
-                std::move(config_result.branchProfile);
-            bench_result.wallMs = wall_share;
-            if (options.profileBranches) {
-                result.perConfig[c].branchProfile.mergeFrom(
-                    bench_result.branchProfile, tag);
+            BenchmarkRunResult &bench_result = outcome.perConfig[c];
+            if (options.profileBranches && !bench_result.failed()) {
+                // Same (bench << 48) tag as the static composite, so
+                // totals are exact sums over the surviving benchmarks.
+                config_result.branchProfile.mergeFrom(
+                    bench_result.branchProfile,
+                    static_cast<std::uint64_t>(bench) << 48);
             }
-            if (options.profileStatic) {
-                // Re-key per-PC entries exactly as run() does.
-                for (const auto &[pc, entry] :
-                     config_result.staticProfile.entries()) {
-                    bench_result.staticStats.recordAggregate(
-                        tag | pc,
-                        static_cast<double>(entry.executions),
-                        static_cast<double>(entry.mispredictions));
-                }
-            }
-            result.perConfig[c].perBenchmark.push_back(
-                std::move(bench_result));
+            config_result.perBenchmark.push_back(std::move(bench_result));
         }
     }
 
-    for (auto &config_result : result.perConfig) {
-        computeComposites(config_result, options.profileStatic,
-                          suite_.size());
-        config_result.wallMs = elapsedMsSince(sweep_start);
+    std::size_t survivors = 0;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const std::size_t config_survivors = computeComposites(
+            result.perConfig[c], options.profileStatic, suite_.size());
+        if (c == 0)
+            survivors = config_survivors;
+        result.perConfig[c].wallMs = elapsedMsSince(suite_start);
     }
-    result.wallMs = elapsedMsSince(sweep_start);
+    result.wallMs = elapsedMsSince(suite_start);
     if (telemetry != nullptr) {
+        // Per-configuration composites are in the result; the event
+        // carries the first configuration's.
+        const SuiteRunResult &first = result.perConfig.front();
+        telemetry->emit(TelemetryEvent(
+            events::kSuiteRunFinished,
+            {field("wall_ms", result.wallMs),
+             field("composite_mispredict_rate",
+                   first.compositeMispredictRate),
+             field("degraded", result.degraded()),
+             field("failed_benchmarks",
+                   static_cast<std::uint64_t>(first.failedBenchmarks())),
+             field("zero_record_benchmarks",
+                   static_cast<std::uint64_t>(first.zeroRecordBenchmarks)),
+             field("survivors", static_cast<std::uint64_t>(survivors))}));
         MetricsRegistry &registry = telemetry->registry();
-        registry.observe("sweep.suite_wall_ms", result.wallMs);
+        registry.observe("suite.wall_ms", result.wallMs);
         registry.setGauge("sweep.pool_workers",
                           static_cast<double>(pool_workers));
         registry.setGauge("sweep.bench_parallel",

@@ -2,18 +2,17 @@
  * @file
  * Suite-level experiment execution.
  *
- * Runs a (predictor, estimator set) configuration over every benchmark
- * of a suite with fresh structures per benchmark (the paper initializes
- * all tables at the start of each benchmark) and produces both
- * per-benchmark results and the equal-dynamic-branch-weight composite
- * of Section 1.2.
+ * Runs configurations over every benchmark of a suite with fresh
+ * structures per benchmark (the paper initializes all tables at the
+ * start of each benchmark) and produces both per-benchmark results and
+ * the equal-dynamic-branch-weight composite of Section 1.2.
  *
  * Benchmark tasks are error-isolated: a failure inside one benchmark
  * (corrupt trace, watchdog timeout, estimator bug) is caught into that
- * benchmark's BenchmarkRunResult::error instead of tearing down the
- * thread pool. A RunPolicy chooses whether the suite run then throws
- * (fail-fast, the default) or composites over the survivors with the
- * result flagged degraded (continue-on-error). See docs/robustness.md.
+ * benchmark's BenchmarkRunResult::error. A RunPolicy chooses whether
+ * the suite run then throws (fail-fast, the default) or composites
+ * over the survivors with the result flagged degraded
+ * (continue-on-error). See docs/robustness.md.
  */
 
 #ifndef CONFSIM_SIM_SUITE_RUNNER_H
@@ -76,7 +75,8 @@ struct BenchmarkRunResult
 
     /**
      * Wall-clock time spent on this benchmark, across all attempts
-     * (trace generation + simulation, not just the driver loop).
+     * (trace generation + simulation), divided equally among the
+     * configurations of the pass.
      */
     double wallMs = 0.0;
 
@@ -174,9 +174,7 @@ struct SweepOptions;
 /**
  * Results of a multi-configuration sweep over a suite: one full
  * SuiteRunResult per attached configuration (configuration order
- * preserved), produced from a single decode pass per benchmark. Each
- * per-config result is bit-exact with what SuiteRunner::run would have
- * produced for that configuration alone (see sim/sweep_engine.h).
+ * preserved), produced from a single decode pass per benchmark.
  */
 struct SweepSuiteResult
 {
@@ -204,13 +202,8 @@ class SuiteRunner
     explicit SuiteRunner(BenchmarkSuite suite);
 
     /**
-     * Run the configuration over every benchmark.
-     *
-     * Benchmarks are independent simulations, so they execute on a
-     * thread pool (one task per benchmark); results are merged in
-     * suite order, so the output is bit-identical to a sequential
-     * run. Set the CONFSIM_SEQUENTIAL environment variable to force
-     * single-threaded execution (e.g. when profiling).
+     * Run one configuration over every benchmark: runSweep() with that
+     * single configuration and default SweepOptions.
      *
      * @param make_predictor Fresh-predictor factory (called once per
      *        benchmark attempt, possibly concurrently — must be
@@ -218,8 +211,7 @@ class SuiteRunner
      * @param make_estimators Fresh-estimator-set factory (same rule).
      * @param options Driver knobs shared by all benchmarks.
      * @param policy Fault-tolerance policy. The default fail-fast
-     *        policy throws on the first (suite-order) failure, so
-     *        existing callers see the pre-RunPolicy behaviour.
+     *        policy throws on the first (suite-order) failure.
      */
     SuiteRunResult run(const PredictorFactory &make_predictor,
                        const EstimatorSetFactory &make_estimators,
@@ -227,40 +219,40 @@ class SuiteRunner
                        RunPolicy policy = {}) const;
 
     /**
-     * Run many configurations over the suite in one decode pass per
-     * benchmark (sim/sweep_engine.h). Within each benchmark the
-     * configurations shard across a worker pool, so the trace is
-     * generated/decoded exactly once regardless of configuration
-     * count. The pool is shared and globally sized (never capped at
-     * the configuration count): when a benchmark's pass cannot use
-     * every worker, additional benchmarks' passes run concurrently
-     * on the same pool (SweepOptions::benchParallel slots; decode
-     * runs ahead of replay per SweepOptions::decodeAhead). Results —
-     * including output order and composites — are bit-exact with
-     * run() called once per configuration at any knob setting.
+     * Run configurations over every benchmark, decoding each trace
+     * once for all of them (sim/sweep_engine.h). Benchmarks are
+     * independent simulations with fresh structures (the paper
+     * initializes all tables at the start of each benchmark).
      *
-     * Per-configuration BenchmarkRunResult::wallMs carries an equal
-     * 1/numConfigs share of the shared pass's wall time (so sums over
-     * configurations recover the real cost); the whole-pass time is
-     * observed once per benchmark as the sweep.bench_wall_ms metric.
+     * Scheduling: configurations shard across a worker pool that is
+     * shared and globally sized (never capped at the configuration
+     * count). When a benchmark's pass cannot use every worker, further
+     * benchmarks' passes run concurrently (SweepOptions::benchParallel
+     * slots; decode runs ahead of replay per SweepOptions::decodeAhead).
+     * Results — including output order and composites — are bit-exact
+     * at any knob setting. CONFSIM_SEQUENTIAL forces one thread.
      *
-     * Error isolation matches run() at benchmark granularity: a
-     * failure anywhere in a benchmark's sweep marks that benchmark
-     * failed for every configuration (all configurations consumed the
-     * same pass). Checkpointing, when enabled, snapshots the whole
-     * sweep per benchmark; resume restores from the newest valid
-     * generation (sweep stores keep no done-markers — a finished
-     * benchmark simply leaves no generations behind).
+     * Each benchmark runs under one guarded loop: a failure becomes
+     * that benchmark's error for every configuration (under
+     * continue-on-error a failure inside one of several configurations
+     * fails only that one), with the policy's retries, watchdog, suite
+     * deadline, and fail-fast teardown. With checkpointing enabled the
+     * whole pass is checkpointed per benchmark; resume restores from
+     * the newest valid generation, and a finished benchmark leaves a
+     * done-marker holding every configuration's result.
+     *
+     * BenchmarkRunResult::wallMs is the benchmark's wall time across
+     * attempts, divided equally among the configurations (so sums over
+     * configurations recover the real cost).
      *
      * @param configs Attached configurations (factories follow the
      *        same thread-safety rule as run()).
      * @param options Driver knobs shared by all configurations.
-     * @param sweep Sweep thread/batch/pipelining tuning knobs. When
+     * @param sweep Thread/batch/pipelining knobs. When
      *        SweepOptions::pool is set the pass runs on that external
      *        pool (the caller owns its lifetime and its occupancy
-     *        reporting — e.g. the sweep service multiplexing many
-     *        jobs over one host-sized pool); otherwise runSweep
-     *        creates and owns a pool sized from SweepOptions::threads.
+     *        reporting); otherwise runSweep creates a pool sized from
+     *        SweepOptions::threads.
      * @param policy Fault-tolerance policy (see run()).
      */
     SweepSuiteResult

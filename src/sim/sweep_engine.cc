@@ -90,34 +90,118 @@ struct ReplayGuard
     }
 };
 
+/** Nanoseconds elapsed since @p start. */
+double
+nsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::nano>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/**
+ * Version of the replay checkpoint layout (sweep:meta plus per-config
+ * cfgN:meta). Version 1 was the sweep-only layout that sat beside the
+ * sequential driver's driver:meta layout; both are rejected as
+ * kCheckpoint rather than misread.
+ */
+constexpr std::uint32_t kLayoutVersion = 2;
+
+/** The pass-wide shape a checkpoint must match to be resumed. */
+struct PassShape
+{
+    std::uint64_t bhrBits = 0;
+    std::uint64_t gcirBits = 0;
+    std::uint64_t configs = 0;
+    std::uint64_t profileStatic = 0;
+
+    static PassShape
+    of(const DriverOptions &options, std::size_t configs)
+    {
+        return {options.bhrBits, options.gcirBits, configs,
+                options.profileStatic ? 1u : 0u};
+    }
+
+    void
+    saveState(StateWriter &out) const
+    {
+        out.putU64(bhrBits);
+        out.putU64(gcirBits);
+        out.putU64(configs);
+        out.putU64(profileStatic);
+    }
+
+    void
+    loadState(StateReader &in) const
+    {
+        in.expectU64(bhrBits, "checkpoint BHR width");
+        in.expectU64(gcirBits, "checkpoint GCIR width");
+        in.expectU64(configs, "checkpoint config count");
+        in.expectU64(profileStatic, "checkpoint static-profile flag");
+    }
+};
+
+/** fatal() unless every component can be checkpointed faithfully. */
+void
+requireCheckpointable(const BranchPredictor &predictor,
+                      const std::vector<ConfidenceEstimator *> &estimators)
+{
+    // An unaudited component would write checkpoints that resume into
+    // silently wrong state, so refuse it before any simulation.
+    if (!predictor.checkpointable()) {
+        fatal(ErrorCategory::kConfig, "predictor '" + predictor.name() +
+              "' is not checkpointable");
+    }
+    for (const auto *estimator : estimators) {
+        if (!estimator->checkpointable()) {
+            fatal(ErrorCategory::kConfig, "estimator '" +
+                  estimator->name() + "' is not checkpointable");
+        }
+    }
+}
+
 } // namespace
 
 /**
  * Everything one configuration owns: its predictor, estimator bank,
- * private replicas of the architectural context registers, and its
- * accumulating result. One worker shard touches one ConfigState at a
- * time, so no field needs synchronization.
+ * private replicas of the architectural context registers, the
+ * recording-plan cursor, and its accumulating result. This is the one
+ * replay state of the simulator — step() is the paper's per-branch
+ * loop body, and saveState()/loadState() plus the component entries
+ * written by save() are its one checkpoint layout. One worker shard
+ * touches one ConfigState at a time, so no field needs
+ * synchronization.
  */
 struct SweepEngine::ConfigState
 {
-    ConfigState(const DriverOptions &options)
-        : bhr(options.bhrBits), gcir(options.gcirBits, 0)
+    ConfigState(const DriverOptions &options, std::string label)
+        : options(options), bhr(options.bhrBits),
+          gcir(options.gcirBits, 0),
+          untilSwitch(options.contextSwitchInterval)
     {
         ctx.bhrBits = options.bhrBits;
         ctx.gcirBits = options.gcirBits;
-        until_switch = options.contextSwitchInterval;
+        result.label = std::move(label);
     }
 
-    std::unique_ptr<BranchPredictor> predictor;
-    std::vector<std::unique_ptr<ConfidenceEstimator>> owned;
+    const DriverOptions &options;
+
+    /** Set when the components came from factories (else borrowed). */
+    std::unique_ptr<BranchPredictor> ownedPredictor;
+    std::vector<std::unique_ptr<ConfidenceEstimator>> ownedEstimators;
+
+    BranchPredictor *predictor = nullptr;
     std::vector<ConfidenceEstimator *> estimators;
 
     HistoryRegister bhr;
     ShiftRegister gcir;
     BranchContext ctx;
     std::uint64_t simulated = 0;
-    std::uint64_t until_switch = 0;
+    std::uint64_t untilSwitch = 0;
     std::uint64_t guardTick = 0;
+
+    /** Attribution profile; null unless DriverOptions::profileBranches. */
+    BranchProfile *profile = nullptr;
 
     /**
      * Recording plan (null = record everything) plus its cursor: the
@@ -132,133 +216,215 @@ struct SweepEngine::ConfigState
 
     SweepConfigResult result;
 
+    /** Size the result banks for the attached components. */
+    void
+    attach(const SweepRecordingPlan *recording_plan)
+    {
+        std::vector<BranchProfileEstimatorInfo> infos;
+        for (const auto *estimator : estimators) {
+            result.estimatorStats.emplace_back(estimator->numBuckets());
+            result.estimatorNames.push_back(estimator->name());
+            infos.push_back({estimator->name(), estimator->numBuckets(),
+                             estimator->bucketsAreOrdered()});
+        }
+        if (options.profileBranches) {
+            result.branchProfile.configure(options.branchProfile,
+                                           std::move(infos));
+            profile = &result.branchProfile;
+        }
+        plan = recording_plan;
+        if (plan != nullptr) {
+            result.slotStats.resize(plan->numSlots);
+            for (auto &slot_bank : result.slotStats)
+                slot_bank.estimatorStats = result.estimatorStats;
+        }
+    }
+
     /**
-     * Replay @p batch through this configuration. This is the
-     * sequential driver's record loop verbatim (see
-     * SimulationDriver::runImpl) minus the driver-owned concerns the
-     * engine handles at batch granularity instead: the watchdog, the
-     * checkpoint cadence, and telemetry sampling. Any change here must
-     * keep tests/integration/sweep_differential_test.cc green.
+     * Replay @p batch: step() every conditional record, polling the
+     * guard every few thousand records so a hung or cancelled pass
+     * unwinds from inside the shard. Any change here must keep
+     * tests/integration/sweep_differential_test.cc green.
      */
     void
-    replay(const RecordBatch &batch, const DriverOptions &options,
-           const ReplayGuard &guard)
+    replay(const RecordBatch &batch, const ReplayGuard &guard)
     {
-        // Amortize the guard over a stride of records (same idea as
-        // the sequential driver's watchdog stride) so the hot loop
-        // stays hot when neither a deadline nor a token is set.
         constexpr std::uint64_t kGuardStride = 4096;
         const bool guarded = guard.active();
-        // Attribution profile (observation only — same hook points,
-        // same values, as the sequential driver's loop).
-        BranchProfile *const profile =
-            result.branchProfile.enabled() ? &result.branchProfile
-                                           : nullptr;
         for (const BranchRecord &record : batch) {
             if (guarded && (++guardTick % kGuardStride) == 0)
                 guard.checkNow(simulated);
-            if (!record.isConditional())
-                continue;
+            if (record.isConditional())
+                step(record);
+        }
+    }
 
-            // Resolve the recording plan's mode at region boundaries
-            // (a function of `simulated` only — see the field docs).
-            if (plan != nullptr) {
-                if (planLeft == 0) {
-                    planSlot = plan->slotForRegion(
-                        simulated / plan->regionBranches);
-                    planLeft = plan->regionBranches;
-                }
-                --planLeft;
-                if (planSlot == SweepRecordingPlan::kSkip) {
-                    // Fast-forward: no predictor/estimator work;
-                    // only the cursor and context-switch phase
-                    // advance. A kWarmOnly window ahead of each
-                    // detailed region re-converges the state.
-                    ++simulated;
-                    if (options.contextSwitchInterval != 0 &&
-                        --until_switch == 0) {
-                        until_switch = options.contextSwitchInterval;
-                        if (options.flushPredictorOnSwitch)
-                            predictor->reset();
-                        if (options.flushEstimatorsOnSwitch) {
-                            for (auto *estimator : estimators)
-                                estimator->reset();
-                        }
-                        bhr.reset();
-                        gcir.clear();
-                        ++result.contextSwitches;
-                    }
-                    continue;
-                }
+    /**
+     * Simulate one conditional branch in the paper's order (Section
+     * 1.2): every estimator's bucket is read with the context from
+     * before this branch, the estimators train on whether the
+     * prediction was correct, then the predictor and the BHR/GCIR
+     * train on the outcome. A kSkip plan region fast-forwards: only
+     * the branch cursor and the context-switch clock advance, and a
+     * kWarmOnly window ahead of each detailed region re-converges the
+     * state.
+     */
+    void
+    step(const BranchRecord &record)
+    {
+        bool recording = simulated >= options.warmupBranches;
+        SweepSlotStats *slot_bank = nullptr;
+        if (plan != nullptr) {
+            if (planLeft == 0) {
+                planSlot = plan->slotForRegion(simulated /
+                                               plan->regionBranches);
+                planLeft = plan->regionBranches;
             }
+            --planLeft;
+            if (planSlot == SweepRecordingPlan::kSkip) {
+                tick();
+                return;
+            }
+            recording = recording &&
+                        planSlot != SweepRecordingPlan::kWarmOnly;
+            if (recording)
+                slot_bank = &result.slotStats[planSlot];
+        }
 
-            ctx.pc = record.pc;
-            ctx.bhr = bhr.value();
-            ctx.gcir = gcir.value();
+        ctx.pc = record.pc;
+        ctx.bhr = bhr.value();
+        ctx.gcir = gcir.value();
+        const bool correct = predictor->predict(record.pc) == record.taken;
 
-            const bool predicted = predictor->predict(record.pc);
-            const bool correct = (predicted == record.taken);
-            const bool recording =
-                simulated >= options.warmupBranches &&
-                (plan == nullptr ||
-                 planSlot != SweepRecordingPlan::kWarmOnly);
-            SweepSlotStats *const slot_bank =
-                recording && plan != nullptr
-                    ? &result.slotStats[planSlot]
-                    : nullptr;
-
-            if (recording) {
-                ++result.branches;
+        if (recording) {
+            ++result.branches;
+            if (!correct)
+                ++result.mispredicts;
+            if (slot_bank != nullptr) {
+                ++slot_bank->branches;
                 if (!correct)
-                    ++result.mispredicts;
-                if (slot_bank != nullptr) {
-                    ++slot_bank->branches;
-                    if (!correct)
-                        ++slot_bank->mispredicts;
-                }
-            }
-
-            for (std::size_t i = 0; i < estimators.size(); ++i) {
-                const std::uint64_t bucket =
-                    estimators[i]->bucketOf(ctx);
-                if (recording) {
-                    result.estimatorStats[i].record(bucket, !correct);
-                    if (slot_bank != nullptr) {
-                        slot_bank->estimatorStats[i].record(bucket,
-                                                            !correct);
-                    }
-                }
-                estimators[i]->update(ctx, correct, record.taken);
-                if (profile != nullptr && recording)
-                    profile->onBucket(i, bucket, correct);
-            }
-
-            if (options.profileStatic && recording) {
-                result.staticProfile.record(record.pc, !correct,
-                                            record.taken);
-            }
-            if (profile != nullptr && recording)
-                profile->onBranch(record.pc, !correct);
-
-            predictor->update(record.pc, record.taken);
-            bhr.recordOutcome(record.taken);
-            gcir.shiftIn(!correct);
-            ++simulated;
-
-            if (options.contextSwitchInterval != 0 &&
-                --until_switch == 0) {
-                until_switch = options.contextSwitchInterval;
-                if (options.flushPredictorOnSwitch)
-                    predictor->reset();
-                if (options.flushEstimatorsOnSwitch) {
-                    for (auto *estimator : estimators)
-                        estimator->reset();
-                }
-                bhr.reset();
-                gcir.clear();
-                ++result.contextSwitches;
+                    ++slot_bank->mispredicts;
             }
         }
+        for (std::size_t i = 0; i < estimators.size(); ++i) {
+            const std::uint64_t bucket = estimators[i]->bucketOf(ctx);
+            if (recording) {
+                result.estimatorStats[i].record(bucket, !correct);
+                if (slot_bank != nullptr)
+                    slot_bank->estimatorStats[i].record(bucket, !correct);
+                if (profile != nullptr)
+                    profile->onBucket(i, bucket, correct);
+            }
+            estimators[i]->update(ctx, correct, record.taken);
+        }
+        if (recording && options.profileStatic)
+            result.staticProfile.record(record.pc, !correct, record.taken);
+        if (recording && profile != nullptr)
+            profile->onBranch(record.pc, !correct);
+
+        predictor->update(record.pc, record.taken);
+        bhr.recordOutcome(record.taken);
+        gcir.shiftIn(!correct);
+        tick();
+    }
+
+    /**
+     * Count one simulated branch and model a context switch every
+     * contextSwitchInterval branches (Section 5.4): the flushed
+     * structures and the BHR/GCIR restart from power-on. Accumulated
+     * statistics are never cleared.
+     */
+    void
+    tick()
+    {
+        ++simulated;
+        if (options.contextSwitchInterval == 0 || --untilSwitch != 0)
+            return;
+        untilSwitch = options.contextSwitchInterval;
+        if (options.flushPredictorOnSwitch)
+            predictor->reset();
+        if (options.flushEstimatorsOnSwitch) {
+            for (auto *estimator : estimators)
+                estimator->reset();
+        }
+        bhr.reset();
+        gcir.clear();
+        ++result.contextSwitches;
+    }
+
+    /** Registers and counters: the cfgN:meta entry. */
+    void
+    saveState(StateWriter &out) const
+    {
+        out.putString(result.label);
+        out.putU64(estimators.size());
+        out.putU64(simulated);
+        out.putU64(untilSwitch);
+        out.putU64(bhr.value());
+        out.putU64(gcir.value());
+        out.putU64(result.branches);
+        out.putU64(result.mispredicts);
+        out.putU64(result.contextSwitches);
+    }
+
+    void
+    loadState(StateReader &in)
+    {
+        const std::string label = in.getString();
+        if (label != result.label) {
+            fatal(ErrorCategory::kCheckpoint, "checkpoint config is '" +
+                  label + "', expected '" + result.label + "'");
+        }
+        in.expectU64(estimators.size(), "checkpoint estimator count");
+        simulated = in.getU64();
+        untilSwitch = in.getU64();
+        bhr.setValue(in.getU64());
+        gcir.set(in.getU64());
+        result.branches = in.getU64();
+        result.mispredicts = in.getU64();
+        result.contextSwitches = in.getU64();
+    }
+
+    /**
+     * Call @p visit(name, version, part) for every checkpointed part
+     * of this configuration, named under @p prefix: the one layout
+     * that save() writes and restore() reads back.
+     */
+    template <typename Visit>
+    void
+    forEachPart(const std::string &prefix, Visit &&visit)
+    {
+        visit(prefix + "meta", kLayoutVersion, *this);
+        visit(prefix + "predictor:" + predictor->name(),
+              predictor->stateVersion(), *predictor);
+        for (std::size_t i = 0; i < estimators.size(); ++i) {
+            const std::string index = std::to_string(i);
+            visit(prefix + "estimator" + index + ":" +
+                      estimators[i]->name(),
+                  estimators[i]->stateVersion(), *estimators[i]);
+            visit(prefix + "stats" + index, 1u, result.estimatorStats[i]);
+        }
+        if (options.profileStatic)
+            visit(prefix + "static_profile", 1u, result.staticProfile);
+    }
+
+    void
+    save(Checkpoint &ckpt, const std::string &prefix)
+    {
+        forEachPart(prefix, [&](const std::string &name,
+                                std::uint32_t version, auto &part) {
+            ckpt.addState(name, version, part);
+        });
+    }
+
+    /** Restore everything save() wrote; fatal() on any mismatch. */
+    void
+    restore(const Checkpoint &ckpt, const std::string &prefix)
+    {
+        forEachPart(prefix, [&](const std::string &name,
+                                std::uint32_t version, auto &part) {
+            ckpt.restoreState(name, version, part);
+        });
     }
 };
 
@@ -367,11 +533,12 @@ namespace {
  * Decode-ahead batch ring. A producer thread refills slots from the
  * TraceSource while the consumer (the engine's broadcast loop) drains
  * them in order, so replay never waits on decode unless the ring runs
- * dry.
+ * dry. At depth 1 there is no producer thread: next() refills the one
+ * slot synchronously, through the same fill() code.
  *
- * The producer owns the shared cursors (records consumed, branches
- * simulated) and computes the checkpoint cadence with the exact
- * arithmetic the synchronous loop uses, so checkpoints land on the
+ * fill() owns the shared cursors (records consumed, branches
+ * simulated) and the checkpoint cadence — the first batch boundary at
+ * or after each multiple of the period — so checkpoints land on the
  * same batch boundaries at any depth. A slot that crosses a
  * checkpoint multiple is flagged checkpointDue and the producer
  * *blocks before touching the source again* until the consumer has
@@ -381,8 +548,7 @@ namespace {
  * pipelined checkpoint/resume bit-exact.
  *
  * A decode error is published in order as an error slot: the consumer
- * replays every batch decoded before it, then rethrows — identical
- * observable behaviour to the synchronous loop.
+ * replays every batch decoded before it, then rethrows.
  */
 class DecodeAheadRing
 {
@@ -415,11 +581,14 @@ class DecodeAheadRing
             slot.batch = RecordBatch(batch_size);
             slots_.push_back(std::move(slot));
         }
-        producer_ = std::thread([this] { producerMain(); });
+        if (depth >= 2)
+            producer_ = std::thread([this] { producerMain(); });
     }
 
     ~DecodeAheadRing()
     {
+        if (!producer_.joinable())
+            return;
         {
             std::lock_guard<std::mutex> lock(mu_);
             stop_ = true;
@@ -438,6 +607,14 @@ class DecodeAheadRing
     Slot *
     next()
     {
+        if (!producer_.joinable()) {
+            Slot &slot = slots_.front();
+            if (!fill(slot))
+                return nullptr;
+            if (slot.error)
+                std::rethrow_exception(slot.error);
+            return &slot;
+        }
         std::unique_lock<std::mutex> lock(mu_);
         cvFilled_.wait(lock,
                        [this] { return filled_ != 0 || done_; });
@@ -457,6 +634,8 @@ class DecodeAheadRing
     void
     release(Slot &slot)
     {
+        if (!producer_.joinable())
+            return;
         bool due = false;
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -482,6 +661,43 @@ class DecodeAheadRing
     }
 
   private:
+    /**
+     * Decode the next batch into @p slot and advance the cursors.
+     * Cancellation and injected decode faults become in-order error
+     * slots. @return false at end of stream.
+     */
+    bool
+    fill(Slot &slot)
+    {
+        slot.checkpointDue = false;
+        slot.error = nullptr;
+        std::size_t got = 0;
+        try {
+            ScopedSpan refill_span(spans_, "decode.refill");
+            if (cancel_ != nullptr)
+                cancel_->throwIfCancelled("sweep decode");
+            FaultInjector &injector = FaultInjector::instance();
+            if (injector.armed())
+                injector.fire(FaultSite::kDecodeBatch, scope_);
+            got = slot.batch.refill(source_);
+        } catch (...) {
+            slot.error = std::current_exception();
+            slot.batch.clear();
+            return true;
+        }
+        if (got == 0)
+            return false;
+        consumed_ += slot.batch.size();
+        simulated_ += slot.batch.conditionals();
+        slot.consumedAfter = consumed_;
+        slot.simulatedAfter = simulated_;
+        if (ckptEvery_ != 0 && simulated_ >= nextCkpt_) {
+            slot.checkpointDue = true;
+            nextCkpt_ = (simulated_ / ckptEvery_ + 1) * ckptEvery_;
+        }
+        return true;
+    }
+
     void
     producerMain()
     {
@@ -499,44 +715,13 @@ class DecodeAheadRing
             // Only this thread touches head_ and the slot until it is
             // published under the mutex below.
             Slot &slot = slots_[head_ % slots_.size()];
-            slot.checkpointDue = false;
-            slot.error = nullptr;
-
-            std::size_t got = 0;
-            try {
-                // Cancellation and injected decode faults surface as
-                // in-order error slots — identical observable behavior
-                // to the synchronous refill loop hitting them.
-                ScopedSpan refill_span(spans_, "decode.refill");
-                if (cancel_ != nullptr)
-                    cancel_->throwIfCancelled("sweep decode");
-                FaultInjector &injector = FaultInjector::instance();
-                if (injector.armed())
-                    injector.fire(FaultSite::kDecodeBatch, scope_);
-                got = slot.batch.refill(source_);
-            } catch (...) {
-                slot.error = std::current_exception();
-                slot.batch.clear();
-            }
-            if (got == 0 && !slot.error) {
+            if (!fill(slot)) {
                 std::lock_guard<std::mutex> lock(mu_);
                 done_ = true;
                 cvFilled_.notify_all();
                 return;
             }
-
-            bool due = false;
-            if (!slot.error) {
-                consumed_ += slot.batch.size();
-                simulated_ += slot.batch.conditionals();
-                slot.consumedAfter = consumed_;
-                slot.simulatedAfter = simulated_;
-                if (ckptEvery_ != 0 && simulated_ >= nextCkpt_) {
-                    slot.checkpointDue = due = true;
-                    nextCkpt_ =
-                        (simulated_ / ckptEvery_ + 1) * ckptEvery_;
-                }
-            }
+            const bool due = slot.checkpointDue;
 
             std::unique_lock<std::mutex> lock(mu_);
             ++head_;
@@ -599,46 +784,34 @@ class DecodeAheadRing
     bool stop_ = false;
 };
 
+} // namespace
+
 unsigned
-resolveThreads(unsigned requested, std::size_t configs)
+resolveSweepWorkers(unsigned requested)
 {
-    // CONFSIM_SEQUENTIAL forces single-threaded operation everywhere
-    // (same escape hatch SuiteRunner honours) — results are identical
-    // either way, this only aids debugging under a debugger/sanitizer.
+    // CONFSIM_SEQUENTIAL forces single-threaded operation everywhere.
+    // Results are identical either way; it aids debugging under a
+    // debugger or sanitizer.
     if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
         return 1;
-    unsigned threads = requested;
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-    // A lone engine can't use more workers than it has configurations
-    // (per-config replay is serial by the bit-exactness contract).
-    // When more cores than configs are available, SuiteRunner::runSweep
-    // recovers the surplus by pipelining benchmarks on a shared,
-    // globally sized pool instead of capping here.
-    if (static_cast<std::size_t>(threads) > configs)
-        threads = static_cast<unsigned>(configs);
-    return threads < 1 ? 1 : threads;
+    const unsigned workers =
+        requested != 0 ? requested : std::thread::hardware_concurrency();
+    return std::max(1u, workers);
 }
 
 std::size_t
-resolveDecodeAhead(std::size_t requested)
+resolveSweepKnob(std::size_t requested, const char *env_name)
 {
     if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
         return 1;
-    if (const char *env = std::getenv("CONFSIM_DECODE_AHEAD")) {
+    if (const char *env = std::getenv(env_name)) {
         char *end = nullptr;
         const long value = std::strtol(env, &end, 10);
         if (end != env && value >= 1)
             return static_cast<std::size_t>(value);
     }
-    return requested == 0 ? SweepOptions::kDefaultDecodeAhead
-                          : requested;
+    return requested;
 }
-
-} // namespace
 
 SweepEngine::SweepEngine(std::vector<SweepConfiguration> configs,
                          DriverOptions driver, SweepOptions sweep)
@@ -654,6 +827,14 @@ SweepEngine::SweepEngine(std::vector<SweepConfiguration> configs,
     }
 }
 
+SweepEngine::SweepEngine(BranchPredictor &predictor,
+                         std::vector<ConfidenceEstimator *> estimators,
+                         DriverOptions driver, SweepOptions sweep)
+    : configs_{SweepConfiguration{predictor.name(), {}, {}}},
+      driver_(driver), sweep_(sweep), borrowedPredictor_(&predictor),
+      borrowedEstimators_(std::move(estimators))
+{}
+
 SweepEngine::~SweepEngine() = default;
 
 void
@@ -662,6 +843,11 @@ SweepEngine::checkpointEvery(std::uint64_t n_branches,
 {
     if (n_branches != 0 && store == nullptr)
         fatal(ErrorCategory::kConfig, "checkpointEvery: a period needs a CheckpointStore");
+    // Caller-owned components are known already: refuse unauditable
+    // ones now rather than at run() time.
+    if ((n_branches != 0 || store != nullptr) &&
+        borrowedPredictor_ != nullptr)
+        requireCheckpointable(*borrowedPredictor_, borrowedEstimators_);
     ckptEvery_ = n_branches;
     ckptStore_ = store;
 }
@@ -689,53 +875,17 @@ SweepEngine::writeCheckpoint(TraceSource &source,
     ckpt.label = driver_.telemetryLabel;
     ckpt.watermark = consumed;
     ckpt.branches = simulated;
-
-    StateWriter meta;
-    meta.putU64(driver_.bhrBits);
-    meta.putU64(driver_.gcirBits);
-    meta.putU64(configs_.size());
-    meta.putU64(driver_.profileStatic ? 1 : 0);
-    ckpt.add("sweep:meta", 1, meta.take());
-
-    for (std::size_t c = 0; c < states_.size(); ++c) {
-        ConfigState &state = *states_[c];
-        const std::string prefix = cfgPrefix(c);
-
-        StateWriter cfg;
-        cfg.putString(configs_[c].label);
-        cfg.putU64(state.estimators.size());
-        cfg.putU64(state.until_switch);
-        cfg.putU64(state.bhr.value());
-        cfg.putU64(state.gcir.value());
-        cfg.putU64(state.result.branches);
-        cfg.putU64(state.result.mispredicts);
-        cfg.putU64(state.result.contextSwitches);
-        ckpt.add(prefix + "meta", 1, cfg.take());
-
-        ckpt.addComponent(prefix + "predictor:" +
-                              state.predictor->name(),
-                          *state.predictor);
-        for (std::size_t i = 0; i < state.estimators.size(); ++i) {
-            ckpt.addComponent(prefix + "estimator" +
-                                  std::to_string(i) + ":" +
-                                  state.estimators[i]->name(),
-                              *state.estimators[i]);
-            ckpt.addState(prefix + "stats" + std::to_string(i), 1,
-                          state.result.estimatorStats[i]);
-        }
-        if (driver_.profileStatic) {
-            ckpt.addState(prefix + "static_profile", 1,
-                          state.result.staticProfile);
-        }
-    }
+    ckpt.addState("sweep:meta", kLayoutVersion,
+                  PassShape::of(driver_, configs_.size()));
+    for (std::size_t c = 0; c < states_.size(); ++c)
+        states_[c]->save(ckpt, cfgPrefix(c));
     if (source.checkpointable())
         ckpt.addComponent("source", source);
 
-    // Same degradation contract as the sequential driver: a failed
-    // periodic write (ENOSPC, failed fsync, injected fault) loses
-    // checkpoint freshness, not the sweep — the atomic writer never
-    // publishes a partial file, so the previous generation remains
-    // loadable and resumable. Cancellation still propagates.
+    // A failed periodic write (ENOSPC, failed fsync, injected fault)
+    // loses checkpoint freshness, not the pass: the atomic writer
+    // never publishes a partial file, so the previous generation
+    // remains loadable and resumable. Cancellation still propagates.
     try {
         ckptStore_->write(ckpt);
     } catch (const std::exception &e) {
@@ -763,39 +913,6 @@ SweepEngine::runImpl(TraceSource &source,
 
     SweepRunResult result;
 
-    // Build every configuration's private state from its factories.
-    states_.clear();
-    states_.reserve(configs_.size());
-    for (const auto &config : configs_) {
-        auto state = std::make_unique<ConfigState>(driver_);
-        state->predictor = config.makePredictor();
-        if (state->predictor == nullptr) {
-            fatal(ErrorCategory::kConfig, "sweep configuration '" + config.label +
-                  "' produced a null predictor");
-        }
-        state->owned = config.makeEstimators();
-        state->estimators.reserve(state->owned.size());
-        state->result.label = config.label;
-        for (const auto &estimator : state->owned) {
-            state->estimators.push_back(estimator.get());
-            state->result.estimatorStats.emplace_back(
-                estimator->numBuckets());
-            state->result.estimatorNames.push_back(estimator->name());
-        }
-        if (driver_.profileBranches) {
-            std::vector<BranchProfileEstimatorInfo> infos;
-            infos.reserve(state->owned.size());
-            for (const auto &estimator : state->owned) {
-                infos.push_back({estimator->name(),
-                                 estimator->numBuckets(),
-                                 estimator->bucketsAreOrdered()});
-            }
-            state->result.branchProfile.configure(
-                driver_.branchProfile, std::move(infos));
-        }
-        states_.push_back(std::move(state));
-    }
-
     const SweepRecordingPlan *const plan = sweep_.recordingPlan;
     if (plan != nullptr) {
         if (plan->regionBranches == 0) {
@@ -818,137 +935,77 @@ SweepEngine::runImpl(TraceSource &source,
                   "checkpointing nor resume: a partially recorded "
                   "plan cannot be audited for bit-exact restoration");
         }
-        for (auto &state : states_) {
-            state->plan = plan;
-            state->result.slotStats.resize(plan->numSlots);
-            for (auto &slot_bank : state->result.slotStats) {
-                slot_bank.estimatorStats.reserve(
-                    state->estimators.size());
-                for (const auto *estimator : state->estimators) {
-                    slot_bank.estimatorStats.emplace_back(
-                        estimator->numBuckets());
-                }
-            }
-        }
     }
 
-    if (ckptEvery_ != 0) {
-        // Same up-front audit the sequential driver performs: an
-        // unauditable configuration must fail loudly, not resume wrong.
-        for (const auto &state : states_) {
-            if (!state->predictor->checkpointable()) {
-                fatal(ErrorCategory::kConfig, "predictor '" + state->predictor->name() +
-                      "' is not checkpointable");
+    // Build every configuration's private state: fresh components from
+    // its factories, or the caller's own components when borrowed.
+    states_.clear();
+    states_.reserve(configs_.size());
+    for (const auto &config : configs_) {
+        auto state = std::make_unique<ConfigState>(driver_, config.label);
+        if (borrowedPredictor_ != nullptr) {
+            state->predictor = borrowedPredictor_;
+            state->estimators = borrowedEstimators_;
+        } else {
+            state->ownedPredictor = config.makePredictor();
+            if (state->ownedPredictor == nullptr) {
+                fatal(ErrorCategory::kConfig, "sweep configuration '" +
+                      config.label + "' produced a null predictor");
             }
-            for (const auto *estimator : state->estimators) {
-                if (!estimator->checkpointable()) {
-                    fatal(ErrorCategory::kConfig, "estimator '" + estimator->name() +
-                          "' is not checkpointable");
-                }
-            }
+            state->predictor = state->ownedPredictor.get();
+            state->ownedEstimators = config.makeEstimators();
+            for (const auto &estimator : state->ownedEstimators)
+                state->estimators.push_back(estimator.get());
         }
+        if (ckptEvery_ != 0)
+            requireCheckpointable(*state->predictor, state->estimators);
+        state->attach(plan);
+        states_.push_back(std::move(state));
     }
 
     std::uint64_t simulated = 0; // conditional branches, shared cursor
     std::uint64_t consumed = 0;  // all records, shared cursor
 
     if (resume_from != nullptr) {
-        const CheckpointComponent *meta =
-            resume_from->find("sweep:meta");
-        if (meta == nullptr)
-            fatal(ErrorCategory::kCheckpoint, "checkpoint has no sweep:meta component");
-        if (meta->version != 1) {
-            fatal(ErrorCategory::kCheckpoint, "sweep:meta is version " +
-                  std::to_string(meta->version) + ", expected 1");
-        }
-        StateReader in(meta->payload);
-        in.expectU64(driver_.bhrBits, "checkpoint BHR width");
-        in.expectU64(driver_.gcirBits, "checkpoint GCIR width");
-        in.expectU64(configs_.size(), "checkpoint config count");
-        in.expectU64(driver_.profileStatic ? 1 : 0,
-                     "checkpoint static-profile flag");
-        if (!in.atEnd())
-            fatal(ErrorCategory::kCheckpoint, "sweep:meta has unconsumed bytes");
-
-        for (std::size_t c = 0; c < states_.size(); ++c) {
-            ConfigState &state = *states_[c];
-            const std::string prefix = cfgPrefix(c);
-            const CheckpointComponent *cfg_meta =
-                resume_from->find(prefix + "meta");
-            if (cfg_meta == nullptr)
-                fatal(ErrorCategory::kCheckpoint, "checkpoint has no " + prefix +
-                      "meta component");
-            if (cfg_meta->version != 1) {
-                fatal(ErrorCategory::kCheckpoint, prefix + "meta is version " +
-                      std::to_string(cfg_meta->version) +
-                      ", expected 1");
-            }
-            StateReader cfg(cfg_meta->payload);
-            const std::string label = cfg.getString();
-            if (label != configs_[c].label) {
-                fatal(ErrorCategory::kCheckpoint, "checkpoint config " + std::to_string(c) +
-                      " is '" + label + "', expected '" +
-                      configs_[c].label + "'");
-            }
-            cfg.expectU64(state.estimators.size(),
-                          "checkpoint estimator count");
-            state.until_switch = cfg.getU64();
-            state.bhr.setValue(cfg.getU64());
-            state.gcir.set(cfg.getU64());
-            state.result.branches = cfg.getU64();
-            state.result.mispredicts = cfg.getU64();
-            state.result.contextSwitches = cfg.getU64();
-            if (!cfg.atEnd())
-                fatal(ErrorCategory::kCheckpoint, prefix + "meta has unconsumed bytes");
-
-            resume_from->restoreComponent(
-                prefix + "predictor:" + state.predictor->name(),
-                *state.predictor);
-            for (std::size_t i = 0; i < state.estimators.size();
-                 ++i) {
-                resume_from->restoreComponent(
-                    prefix + "estimator" + std::to_string(i) + ":" +
-                        state.estimators[i]->name(),
-                    *state.estimators[i]);
-                resume_from->restoreState(
-                    prefix + "stats" + std::to_string(i), 1,
-                    state.result.estimatorStats[i]);
-            }
-            if (driver_.profileStatic) {
-                resume_from->restoreState(
-                    prefix + "static_profile", 1,
-                    state.result.staticProfile);
-            }
-            state.simulated = resume_from->branches;
-        }
+        PassShape shape = PassShape::of(driver_, configs_.size());
+        resume_from->restoreState("sweep:meta", kLayoutVersion, shape);
+        for (std::size_t c = 0; c < states_.size(); ++c)
+            states_[c]->restore(*resume_from, cfgPrefix(c));
 
         simulated = resume_from->branches;
+        consumed = resume_from->watermark;
         if (resume_from->find("source") != nullptr) {
             resume_from->restoreComponent("source", source);
         } else {
+            // The source saved no position (not checkpointable), so it
+            // must be a fresh deterministic stream: replay and discard
+            // records up to the watermark.
             BranchRecord skipped;
-            for (std::uint64_t i = 0; i < resume_from->watermark;
-                 ++i) {
+            for (std::uint64_t i = 0; i < consumed; ++i) {
                 if (!source.next(skipped)) {
                     fatal(ErrorCategory::kTrace, "trace ended after " + std::to_string(i) +
                           " record(s), before the resume watermark " +
-                          std::to_string(resume_from->watermark));
+                          std::to_string(consumed));
                 }
             }
         }
-        consumed = resume_from->watermark;
     }
 
     // Parallelism: a shared pool (if provided) or an engine-owned one.
     // Either way shards never exceed the configuration count — a batch
     // is split into min(workers, configs) contiguous config ranges.
+    // A lone engine can't use more workers than it has configurations
+    // (per-config replay is serial by the bit-exactness contract);
+    // SuiteRunner::runSweep recovers surplus cores by pipelining
+    // benchmarks on a shared, globally sized pool.
     SweepWorkerPool *pool = sweep_.pool;
     std::unique_ptr<SweepWorkerPool> owned_pool;
     if (pool == nullptr) {
-        const unsigned threads =
-            resolveThreads(sweep_.threads, configs_.size());
+        const std::size_t threads = std::min<std::size_t>(
+            resolveSweepWorkers(sweep_.threads), configs_.size());
         if (threads > 1) {
-            owned_pool = std::make_unique<SweepWorkerPool>(threads);
+            owned_pool = std::make_unique<SweepWorkerPool>(
+                static_cast<unsigned>(threads));
             pool = owned_pool.get();
         }
     }
@@ -958,8 +1015,10 @@ SweepEngine::runImpl(TraceSource &source,
             : std::max<std::size_t>(
                   1, std::min<std::size_t>(pool->workers(),
                                            states_.size()));
-    const std::size_t decode_ahead =
-        resolveDecodeAhead(sweep_.decodeAhead);
+    std::size_t decode_ahead =
+        resolveSweepKnob(sweep_.decodeAhead, "CONFSIM_DECODE_AHEAD");
+    if (decode_ahead == 0)
+        decode_ahead = SweepOptions::kDefaultDecodeAhead;
 
     Telemetry *const telemetry = driver_.telemetry;
     if (telemetry != nullptr) {
@@ -1014,7 +1073,7 @@ SweepEngine::runImpl(TraceSource &source,
                               c) == FaultAction::kHang) {
                 guard.park();
             }
-            state.replay(batch, driver_, guard);
+            state.replay(batch, guard);
         } catch (const std::exception &e) {
             const ErrorCategory category = categoryOf(e);
             if (!isolate || category == ErrorCategory::kTimeout ||
@@ -1040,67 +1099,48 @@ SweepEngine::runImpl(TraceSource &source,
     // Contiguous config shards, one task per shard per batch. runAll
     // blocks until every shard finishes, so the states are quiescent
     // between batches (which keeps batch-boundary checkpoints
-    // race-free) regardless of who owns the pool.
-    std::vector<std::pair<std::size_t, std::size_t>> shards;
-    shards.reserve(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-        shards.emplace_back(states_.size() * s / shard_count,
-                            states_.size() * (s + 1) / shard_count);
-    }
-    // Per-shard replay time, one slot per shard. Each task writes
-    // only its own slot and runAll() is a barrier between batches, so
-    // no synchronization is needed; the sum over slots against
+    // race-free) regardless of who owns the pool. Each shard adds its
+    // replay time to its own slot of shard_busy_ns; the sum against
     // wall x shards is the pipeline-occupancy headline.
     SpanTracer *const spans = driver_.spans;
     std::vector<std::uint64_t> shard_busy_ns(shard_count, 0);
+    const auto replayShard = [&](std::size_t s,
+                                 const RecordBatch &batch) {
+        const Clock::time_point s0 = Clock::now();
+        {
+            ScopedSpan replay_span(spans, "shard.replay");
+            for (std::size_t c = states_.size() * s / shard_count;
+                 c < states_.size() * (s + 1) / shard_count; ++c)
+                replayConfig(c, batch);
+        }
+        shard_busy_ns[s] += static_cast<std::uint64_t>(nsSince(s0));
+    };
     const auto broadcast = [&](const RecordBatch &batch) {
+        const Clock::time_point t0 = Clock::now();
         if (pool == nullptr || shard_count <= 1) {
-            const Clock::time_point s0 = Clock::now();
-            {
-                ScopedSpan replay_span(spans, "shard.replay");
-                for (std::size_t c = 0; c < states_.size(); ++c)
-                    replayConfig(c, batch);
+            replayShard(0, batch);
+        } else {
+            std::vector<std::function<void()>> tasks;
+            for (std::size_t s = 0; s < shard_count; ++s) {
+                tasks.push_back([&, s] {
+                    if (spans != nullptr) {
+                        spans->setCurrentThreadName("sweep-worker");
+                        spans->counter("sweep.pool_occupancy",
+                                       static_cast<std::uint64_t>(
+                                           pool->busyNow()));
+                    }
+                    replayShard(s, batch);
+                });
             }
-            shard_busy_ns[0] += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    Clock::now() - s0)
-                    .count());
-            return;
+            pool->runAll(std::move(tasks), guard.cancel);
         }
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(shards.size());
-        for (std::size_t s = 0; s < shards.size(); ++s) {
-            tasks.push_back([&, s, begin = shards[s].first,
-                             end = shards[s].second] {
-                if (spans != nullptr) {
-                    spans->setCurrentThreadName("sweep-worker");
-                    spans->counter(
-                        "sweep.pool_occupancy",
-                        static_cast<std::uint64_t>(pool->busyNow()));
-                }
-                const Clock::time_point s0 = Clock::now();
-                {
-                    ScopedSpan replay_span(spans, "shard.replay");
-                    for (std::size_t c = begin; c < end; ++c)
-                        replayConfig(c, batch);
-                }
-                shard_busy_ns[s] += static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::nanoseconds>(Clock::now() - s0)
-                        .count());
-            });
-        }
-        pool->runAll(std::move(tasks), guard.cancel);
+        batch_ns.add(nsSince(t0));
+        ++result.batches;
     };
-    const auto checkWatchdog = [&](std::uint64_t at_records) {
-        guard.checkNow(at_records);
-    };
-
+    // The ring (synchronous at depth 1) owns cursor bookkeeping and
+    // flags checkpoint boundaries (see DecodeAheadRing).
     RunningStats barrier_wait_ns;
-    if (decode_ahead >= 2) {
-        // Pipelined: a producer thread keeps the ring topped up while
-        // shards replay; the ring owns cursor bookkeeping and flags
-        // checkpoint boundaries (see DecodeAheadRing).
+    {
         DecodeAheadRing ring(source, decode_ahead, sweep_.batchSize,
                              consumed, simulated, ckptEvery_,
                              driver_.telemetryLabel, guard.cancel,
@@ -1108,77 +1148,24 @@ SweepEngine::runImpl(TraceSource &source,
         for (;;) {
             const Clock::time_point w0 = Clock::now();
             DecodeAheadRing::Slot *slot = ring.next();
-            stall_ns.add(std::chrono::duration<double, std::nano>(
-                             Clock::now() - w0)
-                             .count());
+            stall_ns.add(nsSince(w0));
             if (slot == nullptr)
                 break;
-
-            const Clock::time_point t0 = Clock::now();
             broadcast(slot->batch);
-            batch_ns.add(std::chrono::duration<double, std::nano>(
-                             Clock::now() - t0)
-                             .count());
-
             consumed = slot->consumedAfter;
             simulated = slot->simulatedAfter;
-            ++result.batches;
-
-            checkWatchdog(consumed);
+            guard.checkNow(consumed);
             // Once any configuration has failed, later checkpoints
-            // would freeze a mixed-health sweep; skip them so every
+            // would freeze a mixed-health pass; skip them so every
             // published generation snapshots a fully healthy pass and
-            // resuming any of them is bit-exact. The slot must still
-            // be released to unblock the producer's barrier.
+            // resuming any of them is bit-exact. The slot is released
+            // either way, to unblock the producer's barrier.
             if (slot->checkpointDue &&
                 !config_failed.load(std::memory_order_relaxed))
                 writeCheckpoint(source, result, consumed, simulated);
             ring.release(*slot);
         }
         barrier_wait_ns = ring.barrierWaitStats();
-    } else {
-        // Synchronous refill between broadcasts (decodeAhead == 1).
-        // Checkpoint cadence: first batch boundary at or after each
-        // multiple of ckptEvery_ simulated branches.
-        std::uint64_t next_ckpt =
-            ckptEvery_ == 0
-                ? 0
-                : (simulated / ckptEvery_ + 1) * ckptEvery_;
-
-        RecordBatch batch(sweep_.batchSize);
-        for (;;) {
-            const Clock::time_point w0 = Clock::now();
-            {
-                FaultInjector &injector = FaultInjector::instance();
-                if (injector.armed())
-                    injector.fire(FaultSite::kDecodeBatch,
-                                  driver_.telemetryLabel);
-            }
-            const std::size_t got = batch.refill(source);
-            stall_ns.add(std::chrono::duration<double, std::nano>(
-                             Clock::now() - w0)
-                             .count());
-            if (got == 0)
-                break;
-
-            const Clock::time_point t0 = Clock::now();
-            broadcast(batch);
-            batch_ns.add(std::chrono::duration<double, std::nano>(
-                             Clock::now() - t0)
-                             .count());
-
-            consumed += batch.size();
-            simulated += batch.conditionals();
-            ++result.batches;
-
-            checkWatchdog(consumed);
-            if (ckptEvery_ != 0 && simulated >= next_ckpt) {
-                if (!config_failed.load(std::memory_order_relaxed))
-                    writeCheckpoint(source, result, consumed,
-                                    simulated);
-                next_ckpt = (simulated / ckptEvery_ + 1) * ckptEvery_;
-            }
-        }
     }
 
     // Harvest the engine-owned pool's occupancy before retiring it;
@@ -1198,19 +1185,12 @@ SweepEngine::runImpl(TraceSource &source,
     for (auto &state : states_)
         result.perConfig.push_back(std::move(state->result));
 
-    result.wallMs = std::chrono::duration<double, std::milli>(
-                        Clock::now() - run_start)
-                        .count();
-    result.decodeStallMs =
-        stall_ns.count() == 0
-            ? 0.0
-            : stall_ns.mean() * static_cast<double>(stall_ns.count()) *
-                  1e-6;
-    result.barrierWaitMs =
-        barrier_wait_ns.count() == 0
-            ? 0.0
-            : barrier_wait_ns.mean() *
-                  static_cast<double>(barrier_wait_ns.count()) * 1e-6;
+    const auto totalMs = [](const RunningStats &ns) {
+        return ns.mean() * static_cast<double>(ns.count()) * 1e-6;
+    };
+    result.wallMs = nsSince(run_start) * 1e-6;
+    result.decodeStallMs = totalMs(stall_ns);
+    result.barrierWaitMs = totalMs(barrier_wait_ns);
     std::uint64_t busy_total_ns = 0;
     for (const std::uint64_t ns : shard_busy_ns)
         busy_total_ns += ns;

@@ -11,13 +11,17 @@
  * records into cache-friendly fixed-size batches (trace/record_batch.h)
  * and broadcasts every batch to N attached configurations.
  *
+ * This is the simulator's only replay path. SimulationDriver is a
+ * one-configuration engine over caller-owned components, and
+ * SuiteRunner::run() is a one-configuration SuiteRunner::runSweep().
+ *
  * Configurations are sharded across a pool of persistent worker
  * threads. Each configuration owns private replicas of the
  * architectural context registers (BHR and global CIR) and its own
- * predictor, estimator bank, bucket statistics, and static profile, so
- * per-configuration simulation is exactly the sequential Driver's
- * record loop — results are bit-exact with running SimulationDriver
- * once per configuration (the contract
+ * predictor, estimator bank, bucket statistics, and static profile,
+ * and steps through every conditional branch exactly as the paper's
+ * loop does — results are bit-exact with an independent reference
+ * replay of each configuration alone (the contract
  * tests/integration/sweep_differential_test.cc enforces for every
  * estimator family). Thread count and batch size only change wall
  * time, never results.
@@ -36,15 +40,9 @@
  *    multiple benchmarks' sweep passes concurrently instead of
  *    leaving cores idle whenever configs < hardware threads.
  *
- * Differences from the sequential driver, by design:
- *  - per-branch estimator update-cost sampling is not performed (the
- *    engine reports batch-level sweep.batch_ns instead);
- *  - context_switch_flush telemetry events are not emitted per flush
- *    (the per-config flush *count* is still reported);
- *  - checkpoints snapshot the whole sweep — shared trace cursor plus
- *    every configuration's state — and are taken at the first batch
- *    boundary at or after each checkpointEvery() multiple, not at the
- *    exact branch. Resume is bit-exact from either cadence.
+ * Checkpoints snapshot the whole pass — shared trace cursor plus every
+ * configuration's state — at the first batch boundary at or after
+ * each checkpointEvery() multiple. Resume is bit-exact.
  */
 
 #ifndef CONFSIM_SIM_SWEEP_ENGINE_H
@@ -369,6 +367,18 @@ struct SweepRunResult
     double barrierWaitMs = 0.0;
 };
 
+/**
+ * @return worker threads for a SweepOptions::threads request: 0 = one
+ * per hardware thread; CONFSIM_SEQUENTIAL forces 1.
+ */
+unsigned resolveSweepWorkers(unsigned requested);
+
+/**
+ * @return @p requested, unless CONFSIM_SEQUENTIAL forces 1 or the
+ * environment variable @p env_name holds an integer >= 1, which wins.
+ */
+std::size_t resolveSweepKnob(std::size_t requested, const char *env_name);
+
 /** Runs N configurations over a trace decoded exactly once. */
 class SweepEngine
 {
@@ -384,6 +394,16 @@ class SweepEngine
      * @param sweep Thread/batch tuning knobs.
      */
     SweepEngine(std::vector<SweepConfiguration> configs,
+                DriverOptions driver = {}, SweepOptions sweep = {});
+
+    /**
+     * Attach one configuration made of caller-owned components (not
+     * owned; they must outlive the engine). Every run() continues from
+     * the components' current state and leaves them trained, so the
+     * caller can inspect or serialize them afterwards.
+     */
+    SweepEngine(BranchPredictor &predictor,
+                std::vector<ConfidenceEstimator *> estimators,
                 DriverOptions driver = {}, SweepOptions sweep = {});
 
     ~SweepEngine();
@@ -409,8 +429,8 @@ class SweepEngine
      * after every @p n_branches simulated conditional branches, the
      * shared trace cursor plus every configuration's full state is
      * written atomically to @p store as the next generation. 0
-     * disables. fatal() at run() time if any configuration is not
-     * checkpointable.
+     * disables. fatal() if any configuration is not checkpointable:
+     * at once for caller-owned components, else at run() time.
      */
     void checkpointEvery(std::uint64_t n_branches,
                          CheckpointStore *store);
@@ -428,6 +448,8 @@ class SweepEngine
     std::vector<SweepConfiguration> configs_;
     DriverOptions driver_;
     SweepOptions sweep_;
+    BranchPredictor *borrowedPredictor_ = nullptr;
+    std::vector<ConfidenceEstimator *> borrowedEstimators_;
     std::uint64_t ckptEvery_ = 0;
     CheckpointStore *ckptStore_ = nullptr;
     std::vector<std::unique_ptr<ConfigState>> states_;

@@ -4,14 +4,23 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "sim/sweep_engine.h"
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint.h"
+#include "ckpt/checkpoint_store.h"
 #include "confidence/one_level.h"
+#include "obs/telemetry.h"
 #include "predictor/gshare.h"
 #include "fault/fault_injection.h"
+#include "trace/vector_trace_source.h"
+#include "util/error.h"
 
 namespace confsim {
 namespace {
@@ -464,6 +473,112 @@ TEST(SuiteRunnerTest, FactoriesInvokedExactlyOncePerBenchmark)
     EXPECT_EQ(estimator_calls->load(), 2);
     ASSERT_EQ(result.estimatorNames.size(), 1u);
     EXPECT_EQ(result.estimatorNames[0], "1lvl-PCxorBHR-reset16-4096");
+}
+
+// ---------------------------------------------------------------------
+// Retired checkpoint layouts: the sequential driver's driver:meta
+// generations must be rejected as kCheckpoint, never misread.
+
+/**
+ * A checkpoint in the retired sequential-driver layout, exactly as
+ * that driver wrote it after @p branches branches of a fresh run:
+ * driver:meta (geometry plus registers and counters), then predictor,
+ * estimator, and stats components.
+ */
+Checkpoint
+driverLayoutCheckpoint(const std::string &label, std::uint64_t branches)
+{
+    GsharePredictor predictor(4096, 12);
+    OneLevelCounterConfidence estimator(IndexScheme::PcXorBhr, 4096,
+                                        CounterKind::Resetting, 16, 0);
+    const DriverOptions options;
+    Checkpoint ckpt;
+    ckpt.label = label;
+    ckpt.watermark = branches;
+    ckpt.branches = branches;
+    StateWriter meta;
+    meta.putU64(options.bhrBits);
+    meta.putU64(options.gcirBits);
+    meta.putU64(1); // estimators
+    meta.putU64(0); // static profile off
+    meta.putU64(0); // branches until the next context switch
+    meta.putU64(0); // BHR
+    meta.putU64(0); // GCIR
+    meta.putU64(branches);
+    meta.putU64(0); // mispredicts
+    meta.putU64(0); // context switches
+    ckpt.add("driver:meta", 1, meta.take());
+    ckpt.addComponent("predictor:" + predictor.name(), predictor);
+    ckpt.addComponent("estimator0:" + estimator.name(), estimator);
+    ckpt.addState("stats0", 1, BucketStats(estimator.numBuckets()));
+    return ckpt;
+}
+
+std::string
+scratchDir()
+{
+    const std::string dir =
+        ::testing::TempDir() + "/confsim_retired_ckpt_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+TEST(RetiredCheckpointTest, DriverResumeRejectsDriverMetaLayout)
+{
+    GsharePredictor predictor(4096, 12);
+    OneLevelCounterConfidence estimator(IndexScheme::PcXorBhr, 4096,
+                                        CounterKind::Resetting, 16, 0);
+    SimulationDriver driver(predictor, {&estimator});
+    VectorTraceSource source(
+        {{0x1000, 0x1010, true, BranchType::Conditional}});
+    try {
+        driver.resume(source, driverLayoutCheckpoint("jpeg", 1));
+        FAIL() << "a driver:meta checkpoint was accepted";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kCheckpoint) << e.what();
+    }
+}
+
+TEST(RetiredCheckpointTest, SuiteResumeFallsBackFromDriverMetaLayout)
+{
+    const std::string dir = scratchDir();
+    const BenchmarkSuite suite = BenchmarkSuite::ibsSubset({"jpeg"}, 5000);
+    {
+        // A leftover generation under the benchmark's store label.
+        CheckpointStore store(dir, "jpeg", 2);
+        store.write(driverLayoutCheckpoint("jpeg", 1000));
+        ASSERT_EQ(store.generations().size(), 1u);
+    }
+
+    SuiteRunner runner(suite);
+    const SuiteRunResult fresh =
+        runner.run(smallPredictor(), smallEstimators());
+
+    Telemetry telemetry{TelemetryOptions{}};
+    DriverOptions options;
+    options.telemetry = &telemetry;
+    RunPolicy policy;
+    policy.checkpoint.directory = dir;
+    policy.checkpoint.everyBranches = 0;
+    policy.checkpoint.resume = true;
+    const SuiteRunResult resumed =
+        runner.run(smallPredictor(), smallEstimators(), options, policy);
+
+    // Rejected and reported, then re-simulated from scratch.
+    EXPECT_EQ(telemetry.registry().counter("ckpt.corrupt"), 1u);
+    EXPECT_EQ(telemetry.registry().counter("ckpt.restored"), 0u);
+    ASSERT_EQ(resumed.perBenchmark.size(), 1u);
+    EXPECT_FALSE(resumed.perBenchmark[0].failed())
+        << resumed.perBenchmark[0].error;
+    EXPECT_EQ(resumed.perBenchmark[0].branches,
+              fresh.perBenchmark[0].branches);
+    EXPECT_EQ(resumed.perBenchmark[0].mispredicts,
+              fresh.perBenchmark[0].mispredicts);
+    EXPECT_EQ(resumed.compositeMispredictRate,
+              fresh.compositeMispredictRate);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace
