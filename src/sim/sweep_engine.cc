@@ -166,10 +166,9 @@ requireCheckpointable(const BranchPredictor &predictor,
  * Everything one configuration owns: its predictor, estimator bank,
  * private replicas of the architectural context registers, the
  * recording-plan cursor, and its accumulating result. This is the one
- * replay state of the simulator — step() is the paper's per-branch
- * loop body, and saveState()/loadState() plus the component entries
- * written by save() are its one checkpoint layout. One worker shard
- * touches one ConfigState at a time, so no field needs
+ * replay state of the simulator: step() is the paper's per-branch loop
+ * body, and forEachPart() lists its one checkpoint layout. One worker
+ * shard touches one ConfigState at a time, so no field needs
  * synchronization.
  */
 struct SweepEngine::ConfigState

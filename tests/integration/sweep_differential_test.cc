@@ -28,6 +28,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/checkpoint_store.h"
+#include "confidence/one_level.h"
 #include "metrics/confidence_curve.h"
 #include "sim/family_registry.h"
 #include "sim/suite_runner.h"
@@ -236,7 +237,18 @@ TEST(SweepDifferential, BatchSizeNeverChangesResults)
 
 TEST(SweepDifferential, WarmupAndContextSwitchCombosBitExact)
 {
-    const Family family = differentialFamilyNamed("counter_saturating");
+    // The registry's estimators index by PC and BHR only; the second
+    // family indexes by the global CIR too, so a flush that forgot to
+    // clear it (or a GCIR that saw the wrong bit) cannot pass.
+    Family gcir_family = differentialFamilyNamed("counter_saturating");
+    gcir_family.label = "counter_resetting_pcxorbhrxorgcir";
+    gcir_family.makeEstimators = [] {
+        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+        out.push_back(std::make_unique<OneLevelCounterConfidence>(
+            IndexScheme::PcXorBhrXorGcir, 1024, CounterKind::Resetting,
+            16, 0));
+        return out;
+    };
     struct Combo
     {
         std::uint64_t warmup;
@@ -249,30 +261,34 @@ TEST(SweepDifferential, WarmupAndContextSwitchCombosBitExact)
         {0, 777, true, true},     {500, 500, true, true},
         {2000, 700, false, true}, {100, 1, true, false},
     };
-    for (const Combo &combo : combos) {
-        DriverOptions options;
-        options.profileStatic = true;
-        options.warmupBranches = combo.warmup;
-        options.contextSwitchInterval = combo.interval;
-        options.flushPredictorOnSwitch = combo.flushPredictor;
-        options.flushEstimatorsOnSwitch = combo.flushEstimators;
+    const Family families[] = {
+        differentialFamilyNamed("counter_saturating"), gcir_family};
+    for (const Family &family : families) {
+        for (const Combo &combo : combos) {
+            DriverOptions options;
+            options.profileStatic = true;
+            options.warmupBranches = combo.warmup;
+            options.contextSwitchInterval = combo.interval;
+            options.flushPredictorOnSwitch = combo.flushPredictor;
+            options.flushEstimatorsOnSwitch = combo.flushEstimators;
 
-        const SequentialRun reference =
-            runSequential(family, options, 20'000);
+            const SequentialRun reference =
+                runSequential(family, options, 20'000);
 
-        SweepOptions sweep;
-        sweep.threads = 2;
-        sweep.batchSize = 333;
-        SweepEngine engine(familyConfigs({family, family}), options,
-                           sweep);
-        auto source = freshSource(20'000);
-        const SweepRunResult result = engine.run(*source);
-        for (std::size_t c = 0; c < 2; ++c) {
-            expectIdentical(
-                reference.result, result.perConfig[c],
-                "warmup=" + std::to_string(combo.warmup) +
-                    " interval=" + std::to_string(combo.interval) +
-                    " config " + std::to_string(c));
+            SweepOptions sweep;
+            sweep.threads = 2;
+            sweep.batchSize = 333;
+            SweepEngine engine(familyConfigs({family, family}), options,
+                               sweep);
+            auto source = freshSource(20'000);
+            const SweepRunResult result = engine.run(*source);
+            for (std::size_t c = 0; c < 2; ++c) {
+                expectIdentical(
+                    reference.result, result.perConfig[c],
+                    family.label + " warmup=" + std::to_string(combo.warmup) +
+                        " interval=" + std::to_string(combo.interval) +
+                        " config " + std::to_string(c));
+            }
         }
     }
 }
