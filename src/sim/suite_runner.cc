@@ -244,91 +244,73 @@ emitRestored(Telemetry *telemetry, const std::string &benchmark,
 constexpr std::uint32_t kDoneVersion = 2;
 
 /**
- * Pack a finished benchmark's per-configuration results into a
- * done-marker, so a resumed suite run reuses them without
- * re-simulating. Everything the compositing pass reads is included.
+ * The done-marker payload: a finished benchmark's per-configuration
+ * results, so a resumed suite run reuses them without re-simulating.
+ * Everything the compositing pass reads is included.
  */
-Checkpoint
-serializeResults(const std::string &name,
-                 const std::vector<SweepConfiguration> &configs,
-                 const std::vector<BenchmarkRunResult> &results)
+struct DoneMarker
 {
-    Checkpoint ckpt;
-    ckpt.label = name;
-    ckpt.branches = results.front().branches;
-    StateWriter out;
-    out.putString(name);
-    out.putU64(results.size());
-    for (std::size_t c = 0; c < results.size(); ++c) {
-        const BenchmarkRunResult &result = results[c];
-        out.putString(configs[c].label);
-        out.putU64(result.branches);
-        out.putU64(result.mispredicts);
-        out.putF64(result.mispredictRate);
-        out.putU64(result.estimatorNames.size());
-        for (const auto &estimator : result.estimatorNames)
-            out.putString(estimator);
-        out.putU64(result.estimatorStats.size());
-        for (const auto &stats : result.estimatorStats) {
-            out.putU64(stats.numBuckets());
-            stats.saveState(out);
-        }
-        result.staticStats.saveState(out);
-    }
-    ckpt.add("suite:result", kDoneVersion, out.take());
-    return ckpt;
-}
+    const std::string &name;
+    const std::vector<SweepConfiguration> &configs;
+    std::vector<BenchmarkRunResult> results;
 
-/** Unpack a serializeResults() done-marker; fatal() on any mismatch. */
-std::vector<BenchmarkRunResult>
-deserializeResults(const Checkpoint &ckpt, const std::string &name,
-                   const std::vector<SweepConfiguration> &configs)
-{
-    const CheckpointComponent *entry = ckpt.find("suite:result");
-    if (entry == nullptr) {
-        fatal(ErrorCategory::kCheckpoint,
-              "completed checkpoint has no suite:result component");
+    void
+    saveState(StateWriter &out) const
+    {
+        out.putString(name);
+        out.putU64(results.size());
+        for (std::size_t c = 0; c < results.size(); ++c) {
+            const BenchmarkRunResult &result = results[c];
+            out.putString(configs[c].label);
+            out.putU64(result.branches);
+            out.putU64(result.mispredicts);
+            out.putF64(result.mispredictRate);
+            out.putU64(result.estimatorNames.size());
+            for (const auto &estimator : result.estimatorNames)
+                out.putString(estimator);
+            out.putU64(result.estimatorStats.size());
+            for (const auto &stats : result.estimatorStats) {
+                out.putU64(stats.numBuckets());
+                stats.saveState(out);
+            }
+            result.staticStats.saveState(out);
+        }
     }
-    if (entry->version != kDoneVersion) {
-        fatal(ErrorCategory::kCheckpoint,
-              "suite:result is version " + std::to_string(entry->version) +
-                  ", expected " + std::to_string(kDoneVersion));
-    }
-    StateReader in(entry->payload);
-    if (in.getString() != name) {
-        fatal(ErrorCategory::kCheckpoint,
-              "completed checkpoint belongs to another benchmark");
-    }
-    in.expectU64(configs.size(), "completed checkpoint config count");
-    std::vector<BenchmarkRunResult> results(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        BenchmarkRunResult &result = results[c];
-        if (in.getString() != configs[c].label) {
+
+    /** fatal(kCheckpoint) unless the marker is this run's. */
+    void
+    loadState(StateReader &in)
+    {
+        if (in.getString() != name) {
             fatal(ErrorCategory::kCheckpoint,
-                  "completed checkpoint config " + std::to_string(c) +
-                      " is not '" + configs[c].label + "'");
+                  "completed checkpoint belongs to another benchmark");
         }
-        result.name = name;
-        result.branches = in.getU64();
-        result.mispredicts = in.getU64();
-        result.mispredictRate = in.getF64();
-        const std::uint64_t names = in.getU64();
-        for (std::uint64_t i = 0; i < names; ++i)
-            result.estimatorNames.push_back(in.getString());
-        const std::uint64_t stats_count = in.getU64();
-        for (std::uint64_t i = 0; i < stats_count; ++i) {
-            BucketStats stats(in.getU64());
-            stats.loadState(in);
-            result.estimatorStats.push_back(std::move(stats));
+        in.expectU64(configs.size(), "completed checkpoint config count");
+        results.assign(configs.size(), BenchmarkRunResult{});
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            BenchmarkRunResult &result = results[c];
+            if (in.getString() != configs[c].label) {
+                fatal(ErrorCategory::kCheckpoint,
+                      "completed checkpoint config " + std::to_string(c) +
+                          " is not '" + configs[c].label + "'");
+            }
+            result.name = name;
+            result.branches = in.getU64();
+            result.mispredicts = in.getU64();
+            result.mispredictRate = in.getF64();
+            const std::uint64_t names = in.getU64();
+            for (std::uint64_t i = 0; i < names; ++i)
+                result.estimatorNames.push_back(in.getString());
+            const std::uint64_t stats_count = in.getU64();
+            for (std::uint64_t i = 0; i < stats_count; ++i) {
+                BucketStats stats(in.getU64());
+                stats.loadState(in);
+                result.estimatorStats.push_back(std::move(stats));
+            }
+            result.staticStats.loadState(in);
         }
-        result.staticStats.loadState(in);
     }
-    if (!in.atEnd()) {
-        fatal(ErrorCategory::kCheckpoint,
-              "suite:result has unconsumed bytes");
-    }
-    return results;
-}
+};
 
 /** Report a checkpoint that verified its CRC but cannot be used. */
 void
@@ -448,10 +430,11 @@ struct SuitePass
             if (policy.checkpoint.resume) {
                 if (auto done = store->loadCompleted()) {
                     try {
-                        auto restored =
-                            deserializeResults(*done, name, configs);
+                        DoneMarker marker{name, configs, {}};
+                        done->restoreState("suite:result", kDoneVersion,
+                                           marker);
                         emitRestored(telemetry, name, 0, done->branches);
-                        return restored;
+                        return std::move(marker.results);
                     } catch (const std::exception &e) {
                         // Intact, but not a result of this run's
                         // configurations: re-simulate.
@@ -512,9 +495,15 @@ struct SuitePass
             const bool all_ok = std::none_of(
                 results.begin(), results.end(),
                 [](const BenchmarkRunResult &r) { return r.failed(); });
-            if (all_ok)
-                store->writeCompleted(
-                    serializeResults(name, configs, results));
+            if (all_ok) {
+                DoneMarker marker{name, configs, std::move(results)};
+                Checkpoint done;
+                done.label = name;
+                done.branches = marker.results.front().branches;
+                done.addState("suite:result", kDoneVersion, marker);
+                store->writeCompleted(done);
+                results = std::move(marker.results);
+            }
             store->removeGenerations();
         }
         return results;

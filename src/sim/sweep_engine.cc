@@ -160,20 +160,19 @@ requireCheckpointable(const BranchPredictor &predictor,
     }
 }
 
-} // namespace
-
 /**
  * Everything one configuration owns: its predictor, estimator bank,
  * private replicas of the architectural context registers, the
  * recording-plan cursor, and its accumulating result. This is the one
  * replay state of the simulator: step() is the paper's per-branch loop
  * body, and forEachPart() lists its one checkpoint layout. One worker
- * shard touches one ConfigState at a time, so no field needs
- * synchronization.
+ * shard touches one state at a time, so no field needs
+ * synchronization. Internal linkage lets the compiler inline step()
+ * into the batch loop.
  */
-struct SweepEngine::ConfigState
+struct ReplayState
 {
-    ConfigState(const DriverOptions &options, std::string label)
+    ReplayState(const DriverOptions &options, std::string label)
         : options(options), bhr(options.bhrBits),
           gcir(options.gcirBits, 0),
           untilSwitch(options.contextSwitchInterval)
@@ -425,6 +424,14 @@ struct SweepEngine::ConfigState
             ckpt.restoreState(name, version, part);
         });
     }
+};
+
+} // namespace
+
+/** The engine's opaque per-configuration state (sweep_engine.h). */
+struct SweepEngine::ConfigState : ReplayState
+{
+    using ReplayState::ReplayState;
 };
 
 SweepWorkerPool::SweepWorkerPool(unsigned workers)
