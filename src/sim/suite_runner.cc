@@ -363,7 +363,7 @@ struct SuitePass
     const DriverOptions &options;
     const SweepOptions &engineSweep;
     const RunPolicy &policy;
-    SuiteContext &ctx;
+    const SuiteContext &ctx;
 
     /** Build (and wrap) benchmark @p bench's trace source. */
     std::unique_ptr<TraceSource>
