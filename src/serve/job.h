@@ -140,7 +140,10 @@ struct JobStatus
     /** Taxonomy category of `error` (meaningful when error != ""). */
     ErrorCategory errorCategory = ErrorCategory::kInternal;
 
-    /** True when resumable checkpoint generations exist on disk. */
+    /**
+     * True when resumable mid-run checkpoint generations exist on disk;
+     * the done-markers of finished benchmarks do not count.
+     */
     bool checkpointed = false;
 
     double queueMs = 0.0; //!< admission -> start (or terminal) wait

@@ -28,15 +28,21 @@ elapsedMs(std::chrono::steady_clock::time_point from,
 } // namespace
 
 bool
-hasCheckpointFiles(const std::string &directory)
+hasCheckpointGenerations(const std::string &directory)
 {
     std::error_code ec;
     fs::directory_iterator it(directory, ec);
     if (ec)
         return false;
     for (const auto &entry : it) {
-        if (entry.is_regular_file(ec) &&
-            entry.path().extension() == ".ckpt")
+        if (!entry.is_regular_file(ec) ||
+            entry.path().extension() != ".ckpt")
+            continue;
+        // <label>.g000042.ckpt is a generation; <label>.done.ckpt is a
+        // finished benchmark's marker and holds nothing to resume.
+        const std::string tag = entry.path().stem().extension().string();
+        if (tag.size() > 2 && tag[1] == 'g' &&
+            tag.find_first_not_of("0123456789", 2) == std::string::npos)
             return true;
     }
     return false;
@@ -344,7 +350,7 @@ SweepService::runJob(JobRecord &job)
         jobTelemetry->finish();
     const bool checkpointed =
         !job.jobDir.empty() &&
-        hasCheckpointFiles(job.jobDir + "/ckpt");
+        hasCheckpointGenerations(job.jobDir + "/ckpt");
 
     std::lock_guard<std::mutex> lk(mu_);
     if (final == JobState::kCancelled && draining_ &&

@@ -271,11 +271,13 @@ class SweepService
 };
 
 /**
- * @return true when @p directory holds any checkpoint files
- * (generation or done-marker) — the "this job is resumable" probe the
- * checkpoint-drain path and the chaos tests share.
+ * @return true when @p directory holds a mid-run checkpoint generation
+ * (`<label>.gNNNNNN.ckpt`) — the "this job is resumable" probe behind
+ * JobStatus::checkpointed and the checkpoint-drain path. Done-markers
+ * (`<label>.done.ckpt`), which every checkpointed job leaves for its
+ * finished benchmarks, do not count.
  */
-bool hasCheckpointFiles(const std::string &directory);
+bool hasCheckpointGenerations(const std::string &directory);
 
 /**
  * Sanitize @p name for use as a path component: [A-Za-z0-9._-] pass

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "fault/fault_plan.h"
 #include "trace/trace_stats.h"
@@ -417,9 +418,9 @@ runSuiteExperiment(const ExperimentEnv &env,
 {
     const SuiteSetup setup =
         setUpSuite(env, {{"", make_predictor, estimators}}, true);
-    return setup.runner.run(make_predictor,
-                            setup.configs.front().makeEstimators,
-                            setup.options, setup.policy);
+    SweepSuiteResult swept = setup.runner.runSweep(
+        setup.configs, setup.options, SweepOptions{}, setup.policy);
+    return std::move(swept.perConfig.front());
 }
 
 SweepSuiteResult

@@ -1021,10 +1021,16 @@ SweepEngine::runImpl(TraceSource &source,
             : std::max<std::size_t>(
                   1, std::min<std::size_t>(pool->workers(),
                                            states_.size()));
-    std::size_t decode_ahead =
-        resolveSweepKnob(sweep_.decodeAhead, "CONFSIM_DECODE_AHEAD");
-    if (decode_ahead == 0)
-        decode_ahead = SweepOptions::kDefaultDecodeAhead;
+    // The environment retunes only the default depth: an explicit
+    // request (the driver's synchronous 1) stands.
+    std::size_t decode_ahead = sweep_.decodeAhead == 0
+                                   ? SweepOptions::kDefaultDecodeAhead
+                                   : sweep_.decodeAhead;
+    if (decode_ahead == SweepOptions::kDefaultDecodeAhead)
+        decode_ahead =
+            resolveSweepKnob(decode_ahead, "CONFSIM_DECODE_AHEAD");
+    else if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
+        decode_ahead = 1;
 
     Telemetry *const telemetry = driver_.telemetry;
     if (telemetry != nullptr) {

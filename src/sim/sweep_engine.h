@@ -228,7 +228,10 @@ struct SweepOptions
      * synchronously between broadcasts (the pre-pipelining engine);
      * 0 = default depth. Pure performance knob — results, checkpoint
      * cadence, and resume behaviour are bit-identical at any depth.
-     * CONFSIM_DECODE_AHEAD overrides, CONFSIM_SEQUENTIAL forces 1.
+     * CONFSIM_DECODE_AHEAD overrides the default depth (0 or
+     * kDefaultDecodeAhead) but not an explicit other one, so a
+     * SimulationDriver (depth 1) never starts a producer thread;
+     * CONFSIM_SEQUENTIAL forces 1.
      */
     std::size_t decodeAhead = kDefaultDecodeAhead;
 

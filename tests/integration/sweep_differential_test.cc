@@ -29,6 +29,7 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/checkpoint_store.h"
 #include "confidence/one_level.h"
+#include "metrics/bucket_stats.h"
 #include "metrics/confidence_curve.h"
 #include "sim/family_registry.h"
 #include "sim/suite_runner.h"
@@ -525,6 +526,9 @@ expectSuiteMatchesReference(const BenchmarkSuite &suite,
 
         std::vector<ReferenceResult> references;
         double rate_sum = 0.0;
+        // The static composite weights each benchmark's per-PC profile,
+        // keyed (bench << 48) | pc, to a common mass of 1e6 refs.
+        SparseBucketStats static_composite;
         for (std::size_t b = 0; b < suite.size(); ++b) {
             auto predictor = families[c].makePredictor();
             auto owned = families[c].makeEstimators();
@@ -546,17 +550,24 @@ expectSuiteMatchesReference(const BenchmarkSuite &suite,
                 static_cast<double>(expected.branches);
             EXPECT_EQ(got.mispredictRate, rate);
             rate_sum += rate;
-            double static_refs = 0.0;
-            double static_misses = 0.0;
+            const std::uint64_t tag = static_cast<std::uint64_t>(b)
+                                      << 48;
+            SparseBucketStats static_stats;
             for (const auto &[pc, entry] :
                  expected.staticProfile.entries()) {
-                static_refs += static_cast<double>(entry.executions);
-                static_misses +=
-                    static_cast<double>(entry.mispredictions);
+                static_stats.recordAggregate(
+                    tag | pc, static_cast<double>(entry.executions),
+                    static_cast<double>(entry.mispredictions));
             }
-            EXPECT_EQ(got.staticStats.totalRefs(), static_refs);
+            EXPECT_EQ(got.staticStats.size(), static_stats.size());
+            EXPECT_EQ(got.staticStats.totalRefs(),
+                      static_stats.totalRefs());
             EXPECT_EQ(got.staticStats.totalMispredicts(),
-                      static_misses);
+                      static_stats.totalMispredicts());
+            if (static_stats.totalRefs() > 0.0) {
+                static_composite.addWeighted(
+                    static_stats, 1e6 / static_stats.totalRefs());
+            }
             ASSERT_EQ(got.estimatorStats.size(),
                       expected.estimatorStats.size());
             for (std::size_t e = 0; e < got.estimatorStats.size();
@@ -592,6 +603,16 @@ expectSuiteMatchesReference(const BenchmarkSuite &suite,
                 EXPECT_EQ(es[bucket].mispredicts,
                           as[bucket].mispredicts);
             }
+        }
+
+        const SparseBucketStats &static_actual =
+            actual.compositeStaticStats;
+        EXPECT_EQ(static_actual.size(), static_composite.size());
+        EXPECT_EQ(static_actual.totalRefs(), static_composite.totalRefs());
+        EXPECT_EQ(static_actual.totalMispredicts(),
+                  static_composite.totalMispredicts());
+        if (options.profileStatic) {
+            EXPECT_GT(static_composite.size(), 0u);
         }
     }
 }

@@ -29,6 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "confidence/one_level.h"
@@ -625,7 +627,7 @@ TEST(SweepServiceTest, CheckpointDrainLeavesResumableJobThatMatches)
         const JobStatus status = service.status(id);
         EXPECT_EQ(status.state, JobState::kDrained);
         EXPECT_TRUE(status.checkpointed);
-        EXPECT_TRUE(hasCheckpointFiles(status.jobDir + "/ckpt"));
+        EXPECT_TRUE(hasCheckpointGenerations(status.jobDir + "/ckpt"));
         const ServiceStatus totals = service.serviceStatus();
         EXPECT_EQ(totals.drained, 1u);
         expectExactAccounting(totals, true);
@@ -661,6 +663,37 @@ TEST(SweepServiceTest, CheckpointDrainLeavesResumableJobThatMatches)
     EXPECT_EQ(resumed.perConfig[0].perBenchmark[0].branches,
               direct.perConfig[0].perBenchmark[0].branches);
 
+    fs::remove_all(root);
+}
+
+TEST(SweepServiceTest, CompletedCheckpointedJobIsNotReportedResumable)
+{
+    // A checkpointed job that runs to completion leaves only its
+    // benchmarks' done-markers behind: no generation to resume from,
+    // so `checkpointed` stays false.
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::temp_directory_path() /
+        ("confsim_sweep_service_completed_" +
+         std::to_string(::getpid()));
+    fs::remove_all(root);
+    fs::create_directories(root);
+    {
+        ServiceOptions options;
+        options.jobSlots = 1;
+        options.poolWorkers = 1;
+        options.jobDir = root.string();
+        SweepService service(options);
+        JobSpec spec = testSpec("alice", "completed");
+        spec.checkpoint = true;
+        spec.checkpointEvery = 4'000;
+        const JobStatus done = service.wait(service.submit(spec));
+        EXPECT_EQ(done.state, JobState::kFinished) << done.error;
+        EXPECT_FALSE(done.checkpointed);
+        EXPECT_FALSE(hasCheckpointGenerations(done.jobDir + "/ckpt"));
+        EXPECT_TRUE(fs::exists(done.jobDir + "/ckpt/groff.done.ckpt"));
+        service.drain(DrainMode::kWait);
+    }
     fs::remove_all(root);
 }
 

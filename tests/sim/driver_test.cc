@@ -2,6 +2,9 @@
 
 #include "sim/driver.h"
 
+#include <cstdlib>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "confidence/one_level.h"
@@ -223,6 +226,43 @@ TEST(DriverTest, SelectiveFlushLeavesEstimatorsAlone)
     // Without estimator flushes the counter keeps climbing past 8.
     const BucketStats &stats = result.estimatorStats[0];
     EXPECT_GT(stats[10].refs, 0.0);
+}
+
+/** Records whether next() was ever called off the constructing thread. */
+class ThreadCheckingSource : public VectorTraceSource
+{
+  public:
+    using VectorTraceSource::VectorTraceSource;
+
+    bool
+    next(BranchRecord &record) override
+    {
+        if (std::this_thread::get_id() != owner_)
+            offThread_ = true;
+        return VectorTraceSource::next(record);
+    }
+
+    bool offThread() const { return offThread_; }
+
+  private:
+    std::thread::id owner_ = std::this_thread::get_id();
+    bool offThread_ = false;
+};
+
+TEST(DriverTest, DecodeAheadEnvironmentNeverThreadsTheDriver)
+{
+    // CONFSIM_DECODE_AHEAD retunes only the default pipelined depth; a
+    // driver run stays synchronous and reads the caller's source on
+    // the caller's thread.
+    ::setenv("CONFSIM_DECODE_AHEAD", "3", 1);
+    StaticPredictor pred(StaticPolicy::AlwaysTaken);
+    ThreadCheckingSource source(
+        repeated(0x1000, std::vector<bool>(20'000, true)));
+    SimulationDriver driver(pred, {});
+    const auto result = driver.run(source);
+    ::unsetenv("CONFSIM_DECODE_AHEAD");
+    EXPECT_EQ(result.branches, 20'000u);
+    EXPECT_FALSE(source.offThread());
 }
 
 } // namespace
