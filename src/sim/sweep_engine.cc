@@ -239,6 +239,33 @@ struct ReplayState
     }
 
     /**
+     * What step() advances on every branch. replay() works on a local
+     * copy for the length of a batch, so these stay in machine
+     * registers across the predictor's and estimators' virtual calls
+     * instead of round-tripping through this state.
+     */
+    struct Registers
+    {
+        HistoryRegister bhr;
+        ShiftRegister gcir;
+        std::uint64_t simulated;
+        std::uint64_t untilSwitch;
+        std::uint64_t branches;
+        std::uint64_t mispredicts;
+    };
+
+    void
+    writeBack(const Registers &regs)
+    {
+        bhr = regs.bhr;
+        gcir = regs.gcir;
+        simulated = regs.simulated;
+        untilSwitch = regs.untilSwitch;
+        result.branches = regs.branches;
+        result.mispredicts = regs.mispredicts;
+    }
+
+    /**
      * Replay @p batch: step() every conditional record, polling the
      * guard every few thousand records so a hung or cancelled pass
      * unwinds from inside the shard. Any change here must keep
@@ -249,12 +276,20 @@ struct ReplayState
     {
         constexpr std::uint64_t kGuardStride = 4096;
         const bool guarded = guard.active();
-        for (const BranchRecord &record : batch) {
-            if (guarded && (++guardTick % kGuardStride) == 0)
-                guard.checkNow(simulated);
-            if (record.isConditional())
-                step(record);
+        Registers regs{bhr, gcir, simulated, untilSwitch, result.branches,
+                       result.mispredicts};
+        try {
+            for (const BranchRecord &record : batch) {
+                if (guarded && (++guardTick % kGuardStride) == 0)
+                    guard.checkNow(regs.simulated);
+                if (record.isConditional())
+                    step(record, regs);
+            }
+        } catch (...) {
+            writeBack(regs);
+            throw;
         }
+        writeBack(regs);
     }
 
     /**
@@ -268,19 +303,19 @@ struct ReplayState
      * state.
      */
     void
-    step(const BranchRecord &record)
+    step(const BranchRecord &record, Registers &regs)
     {
-        bool recording = simulated >= options.warmupBranches;
+        bool recording = regs.simulated >= options.warmupBranches;
         SweepSlotStats *slot_bank = nullptr;
         if (plan != nullptr) {
             if (planLeft == 0) {
-                planSlot = plan->slotForRegion(simulated /
+                planSlot = plan->slotForRegion(regs.simulated /
                                                plan->regionBranches);
                 planLeft = plan->regionBranches;
             }
             --planLeft;
             if (planSlot == SweepRecordingPlan::kSkip) {
-                tick();
+                tick(regs);
                 return;
             }
             recording = recording &&
@@ -290,14 +325,14 @@ struct ReplayState
         }
 
         ctx.pc = record.pc;
-        ctx.bhr = bhr.value();
-        ctx.gcir = gcir.value();
+        ctx.bhr = regs.bhr.value();
+        ctx.gcir = regs.gcir.value();
         const bool correct = predictor->predict(record.pc) == record.taken;
 
         if (recording) {
-            ++result.branches;
+            ++regs.branches;
             if (!correct)
-                ++result.mispredicts;
+                ++regs.mispredicts;
             if (slot_bank != nullptr) {
                 ++slot_bank->branches;
                 if (!correct)
@@ -321,9 +356,9 @@ struct ReplayState
             profile->onBranch(record.pc, !correct);
 
         predictor->update(record.pc, record.taken);
-        bhr.recordOutcome(record.taken);
-        gcir.shiftIn(!correct);
-        tick();
+        regs.bhr.recordOutcome(record.taken);
+        regs.gcir.shiftIn(!correct);
+        tick(regs);
     }
 
     /**
@@ -333,20 +368,20 @@ struct ReplayState
      * statistics are never cleared.
      */
     void
-    tick()
+    tick(Registers &regs)
     {
-        ++simulated;
-        if (options.contextSwitchInterval == 0 || --untilSwitch != 0)
+        ++regs.simulated;
+        if (options.contextSwitchInterval == 0 || --regs.untilSwitch != 0)
             return;
-        untilSwitch = options.contextSwitchInterval;
+        regs.untilSwitch = options.contextSwitchInterval;
         if (options.flushPredictorOnSwitch)
             predictor->reset();
         if (options.flushEstimatorsOnSwitch) {
             for (auto *estimator : estimators)
                 estimator->reset();
         }
-        bhr.reset();
-        gcir.clear();
+        regs.bhr.reset();
+        regs.gcir.clear();
         ++result.contextSwitches;
     }
 
