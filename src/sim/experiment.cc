@@ -358,13 +358,15 @@ buildManifest(const ExperimentEnv &env, const BenchmarkSuite &suite,
 
 /**
  * What every suite experiment shares: the runner, the driver options
- * with telemetry and the run manifest wired in, the checkpoint, retry
- * and deadline policy, and the configurations as sweep configurations.
+ * with telemetry and the run manifest wired in, the sweep knobs, the
+ * checkpoint, retry and deadline policy, and the configurations as
+ * sweep configurations.
  */
 struct SuiteSetup
 {
     SuiteRunner runner;
     DriverOptions options;
+    SweepOptions sweep;
     RunPolicy policy;
     std::vector<SweepConfiguration> configs;
 };
@@ -378,7 +380,7 @@ setUpSuite(const ExperimentEnv &env,
         fatal(ErrorCategory::kConfig,
               "a suite experiment needs at least one configuration");
     }
-    SuiteSetup setup{SuiteRunner(env.makeSuite()), {}, {}, {}};
+    SuiteSetup setup{SuiteRunner(env.makeSuite()), {}, {}, {}, {}};
     setup.options.bhrBits = paper::kLargeHistoryBits;
     setup.options.gcirBits = paper::kCirBits;
     setup.options.profileStatic = profile_static;
@@ -390,6 +392,10 @@ setUpSuite(const ExperimentEnv &env,
             configs.front().estimators, setup.options));
         setup.options.telemetry = telemetry;
     }
+    setup.sweep.threads = env.sweepThreads;
+    setup.sweep.batchSize = env.batchSize;
+    setup.sweep.decodeAhead = env.decodeAhead;
+    setup.sweep.benchParallel = env.benchParallel;
     setup.policy.checkpoint.directory = env.checkpointDir;
     setup.policy.checkpoint.everyBranches = env.checkpointEvery;
     setup.policy.checkpoint.resume = env.resume;
@@ -428,13 +434,8 @@ runSweepSuiteExperiment(const ExperimentEnv &env,
                         const std::vector<SweepExperimentConfig> &configs)
 {
     const SuiteSetup setup = setUpSuite(env, configs, true);
-    SweepOptions sweep;
-    sweep.threads = env.sweepThreads;
-    sweep.batchSize = env.batchSize;
-    sweep.decodeAhead = env.decodeAhead;
-    sweep.benchParallel = env.benchParallel;
-    return setup.runner.runSweep(setup.configs, setup.options, sweep,
-                                 setup.policy);
+    return setup.runner.runSweep(setup.configs, setup.options,
+                                 setup.sweep, setup.policy);
 }
 
 SamplingRunResult
@@ -449,9 +450,7 @@ runSampledSuiteExperiment(const ExperimentEnv &env,
     sampling.subsamples = env.subsamples;
     sampling.seed = env.sampleSeed;
     sampling.warmupRegions = env.warmupRegions;
-    sampling.sweep.threads = env.sweepThreads;
-    sampling.sweep.batchSize = env.batchSize;
-    sampling.sweep.decodeAhead = env.decodeAhead;
+    sampling.sweep = setup.sweep;
 
     SamplingEngine engine(std::move(setup.configs), setup.options,
                           sampling);

@@ -638,12 +638,10 @@ struct SuitePass
  * Fill a suite result's composites (Section 1.2 equal-weight) from its
  * per-benchmark entries: the per-estimator equal-weight curves, the
  * re-weighted static profile, the composite misprediction rate, and
- * the degraded flag. Shared by the sequential and sweep paths so both
- * composite identically. @return the survivor count.
+ * the degraded flags.
  */
-std::size_t
-computeComposites(SuiteRunResult &result, bool profile_static,
-                  std::size_t suite_size)
+void
+computeComposites(SuiteRunResult &result, bool profile_static)
 {
     // A benchmark that ran but recorded nothing (e.g. the warmup
     // window covers the whole trace) has no rate or bucket mass to
@@ -651,68 +649,47 @@ computeComposites(SuiteRunResult &result, bool profile_static,
     // the composite rate and trip EqualWeightComposite's zero-refs
     // check. Exclude it from every composite and mark the result
     // degraded-composite instead.
-    const auto zero_record = [](const BenchmarkRunResult &b) {
-        return !b.failed() && b.branches == 0;
-    };
-
     double rate_sum = 0.0;
-    std::size_t survivors = 0;
-    std::size_t counted = 0;
+    std::vector<const BenchmarkRunResult *> recorded;
     for (const auto &bench_result : result.perBenchmark) {
-        if (!bench_result.failed()) {
-            ++survivors;
-            if (!zero_record(bench_result)) {
-                rate_sum += bench_result.mispredictRate;
-                ++counted;
-            } else {
-                ++result.zeroRecordBenchmarks;
-            }
+        if (bench_result.failed())
+            continue;
+        if (bench_result.branches == 0) {
+            ++result.zeroRecordBenchmarks;
+            continue;
         }
+        rate_sum += bench_result.mispredictRate;
+        recorded.push_back(&bench_result);
     }
-    result.degraded = survivors != suite_size;
+    result.degraded = result.failedBenchmarks() != 0;
     result.compositeDegraded =
-        result.degraded || counted != suite_size;
+        recorded.size() != result.perBenchmark.size();
+    if (recorded.empty())
+        return;
 
     // Composites are equal-weight over the surviving recorded subset.
-    const BenchmarkRunResult *first_ok = nullptr;
-    for (const auto &bench_result : result.perBenchmark) {
-        if (!bench_result.failed() && !zero_record(bench_result)) {
-            first_ok = &bench_result;
-            break;
-        }
-    }
-    if (first_ok == nullptr)
-        return survivors;
-
-    result.estimatorNames = first_ok->estimatorNames;
-    const std::size_t num_estimators = result.estimatorNames.size();
-    for (std::size_t e = 0; e < num_estimators; ++e) {
+    result.estimatorNames = recorded.front()->estimatorNames;
+    for (std::size_t e = 0; e < result.estimatorNames.size(); ++e) {
         EqualWeightComposite composite(
-            first_ok->estimatorStats[e].numBuckets());
-        for (const auto &bench_result : result.perBenchmark) {
-            if (!bench_result.failed() && !zero_record(bench_result))
-                composite.add(bench_result.estimatorStats[e]);
-        }
+            recorded.front()->estimatorStats[e].numBuckets());
+        for (const BenchmarkRunResult *bench_result : recorded)
+            composite.add(bench_result->estimatorStats[e]);
         result.compositeEstimatorStats.push_back(composite.result());
     }
 
     if (profile_static) {
         constexpr double kCommonMass = 1e6;
-        for (const auto &bench_result : result.perBenchmark) {
-            if (bench_result.failed() || zero_record(bench_result))
-                continue;
-            const double refs = bench_result.staticStats.totalRefs();
+        for (const BenchmarkRunResult *bench_result : recorded) {
+            const double refs = bench_result->staticStats.totalRefs();
             if (refs > 0.0) {
                 result.compositeStaticStats.addWeighted(
-                    bench_result.staticStats, kCommonMass / refs);
+                    bench_result->staticStats, kCommonMass / refs);
             }
         }
     }
 
     result.compositeMispredictRate =
-        counted == 0 ? 0.0
-                     : rate_sum / static_cast<double>(counted);
-    return survivors;
+        rate_sum / static_cast<double>(recorded.size());
 }
 
 } // namespace
@@ -909,13 +886,9 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
         }
     }
 
-    std::size_t survivors = 0;
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        const std::size_t config_survivors = computeComposites(
-            result.perConfig[c], options.profileStatic, suite_.size());
-        if (c == 0)
-            survivors = config_survivors;
-        result.perConfig[c].wallMs = elapsedMsSince(suite_start);
+    for (SuiteRunResult &config_result : result.perConfig) {
+        computeComposites(config_result, options.profileStatic);
+        config_result.wallMs = elapsedMsSince(suite_start);
     }
     result.wallMs = elapsedMsSince(suite_start);
     if (telemetry != nullptr) {
@@ -932,7 +905,9 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
                    static_cast<std::uint64_t>(first.failedBenchmarks())),
              field("zero_record_benchmarks",
                    static_cast<std::uint64_t>(first.zeroRecordBenchmarks)),
-             field("survivors", static_cast<std::uint64_t>(survivors))}));
+             field("survivors",
+                   static_cast<std::uint64_t>(
+                       suite_.size() - first.failedBenchmarks()))}));
         MetricsRegistry &registry = telemetry->registry();
         registry.observe("suite.wall_ms", result.wallMs);
         registry.setGauge("sweep.pool_workers",

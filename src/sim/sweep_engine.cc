@@ -173,9 +173,10 @@ requireCheckpointable(const BranchPredictor &predictor,
 struct ReplayState
 {
     ReplayState(const DriverOptions &options, std::string label)
-        : options(options), bhr(options.bhrBits),
-          gcir(options.gcirBits, 0),
-          untilSwitch(options.contextSwitchInterval)
+        : options(options),
+          registers{HistoryRegister(options.bhrBits),
+                    ShiftRegister(options.gcirBits, 0), 0,
+                    options.contextSwitchInterval, 0, 0}
     {
         ctx.bhrBits = options.bhrBits;
         ctx.gcirBits = options.gcirBits;
@@ -191,11 +192,23 @@ struct ReplayState
     BranchPredictor *predictor = nullptr;
     std::vector<ConfidenceEstimator *> estimators;
 
-    HistoryRegister bhr;
-    ShiftRegister gcir;
+    /**
+     * What step() advances on every branch. replay() works on a local
+     * copy for the length of a batch, so these stay in machine
+     * registers across the predictor's and estimators' virtual calls
+     * instead of round-tripping through this state.
+     */
+    struct Registers
+    {
+        HistoryRegister bhr;
+        ShiftRegister gcir;
+        std::uint64_t simulated;   //!< conditionals stepped so far
+        std::uint64_t untilSwitch; //!< branches to the next switch
+        std::uint64_t branches;    //!< recorded (result.branches)
+        std::uint64_t mispredicts; //!< recorded (result.mispredicts)
+    } registers;
+
     BranchContext ctx;
-    std::uint64_t simulated = 0;
-    std::uint64_t untilSwitch = 0;
     std::uint64_t guardTick = 0;
 
     /** Attribution profile; null unless DriverOptions::profileBranches. */
@@ -239,33 +252,6 @@ struct ReplayState
     }
 
     /**
-     * What step() advances on every branch. replay() works on a local
-     * copy for the length of a batch, so these stay in machine
-     * registers across the predictor's and estimators' virtual calls
-     * instead of round-tripping through this state.
-     */
-    struct Registers
-    {
-        HistoryRegister bhr;
-        ShiftRegister gcir;
-        std::uint64_t simulated;
-        std::uint64_t untilSwitch;
-        std::uint64_t branches;
-        std::uint64_t mispredicts;
-    };
-
-    void
-    writeBack(const Registers &regs)
-    {
-        bhr = regs.bhr;
-        gcir = regs.gcir;
-        simulated = regs.simulated;
-        untilSwitch = regs.untilSwitch;
-        result.branches = regs.branches;
-        result.mispredicts = regs.mispredicts;
-    }
-
-    /**
      * Replay @p batch: step() every conditional record, polling the
      * guard every few thousand records so a hung or cancelled pass
      * unwinds from inside the shard. Any change here must keep
@@ -276,8 +262,7 @@ struct ReplayState
     {
         constexpr std::uint64_t kGuardStride = 4096;
         const bool guarded = guard.active();
-        Registers regs{bhr, gcir, simulated, untilSwitch, result.branches,
-                       result.mispredicts};
+        Registers regs = registers;
         try {
             for (const BranchRecord &record : batch) {
                 if (guarded && (++guardTick % kGuardStride) == 0)
@@ -286,10 +271,10 @@ struct ReplayState
                     step(record, regs);
             }
         } catch (...) {
-            writeBack(regs);
+            registers = regs;
             throw;
         }
-        writeBack(regs);
+        registers = regs;
     }
 
     /**
@@ -391,12 +376,12 @@ struct ReplayState
     {
         out.putString(result.label);
         out.putU64(estimators.size());
-        out.putU64(simulated);
-        out.putU64(untilSwitch);
-        out.putU64(bhr.value());
-        out.putU64(gcir.value());
-        out.putU64(result.branches);
-        out.putU64(result.mispredicts);
+        out.putU64(registers.simulated);
+        out.putU64(registers.untilSwitch);
+        out.putU64(registers.bhr.value());
+        out.putU64(registers.gcir.value());
+        out.putU64(registers.branches);
+        out.putU64(registers.mispredicts);
         out.putU64(result.contextSwitches);
     }
 
@@ -409,12 +394,12 @@ struct ReplayState
                   label + "', expected '" + result.label + "'");
         }
         in.expectU64(estimators.size(), "checkpoint estimator count");
-        simulated = in.getU64();
-        untilSwitch = in.getU64();
-        bhr.setValue(in.getU64());
-        gcir.set(in.getU64());
-        result.branches = in.getU64();
-        result.mispredicts = in.getU64();
+        registers.simulated = in.getU64();
+        registers.untilSwitch = in.getU64();
+        registers.bhr.setValue(in.getU64());
+        registers.gcir.set(in.getU64());
+        registers.branches = in.getU64();
+        registers.mispredicts = in.getU64();
         result.contextSwitches = in.getU64();
     }
 
@@ -1136,7 +1121,7 @@ SweepEngine::runImpl(TraceSource &source,
                     events::kSweepConfigFailed,
                     {field("benchmark", driver_.telemetryLabel),
                      field("config", configs_[c].label),
-                     field("at_branch", state.simulated),
+                     field("at_branch", state.registers.simulated),
                      field("category", std::string(toString(category))),
                      field("error", std::string(e.what()))}));
             }
@@ -1229,8 +1214,11 @@ SweepEngine::runImpl(TraceSource &source,
     // callers holding component pointers from the factories can still
     // inspect or serialize the final trained state.
     result.perConfig.reserve(states_.size());
-    for (auto &state : states_)
+    for (auto &state : states_) {
+        state->result.branches = state->registers.branches;
+        state->result.mispredicts = state->registers.mispredicts;
         result.perConfig.push_back(std::move(state->result));
+    }
 
     const auto totalMs = [](const RunningStats &ns) {
         return ns.mean() * static_cast<double>(ns.count()) * 1e-6;
