@@ -194,9 +194,9 @@ struct ReplayState
 
     /**
      * What step() advances on every branch. replay() works on a local
-     * copy for the length of a batch, so these stay in machine
-     * registers across the predictor's and estimators' virtual calls
-     * instead of round-tripping through this state.
+     * copy for the length of a batch: the predictor's and estimators'
+     * virtual calls cannot alias a local, so the compiler need not
+     * store and reload these through this state around every call.
      */
     struct Registers
     {
