@@ -30,11 +30,6 @@ for b in build/bench/*; do
     name="$(basename "$b")"
     case "$name" in
         CMakeFiles|CTestTestfile.cmake|cmake_install.cmake) continue ;;
-        micro_throughput)
-            echo "== $name =="
-            "$b" 2>&1 | tee "$RESULTS/$name.txt" \
-                | tee -a bench_output.txt
-            ;;
         *)
             echo "== $name =="
             "$b" --csv-dir "$RESULTS" 2>&1 \

@@ -5,10 +5,12 @@
  * "If the confidence in a branch prediction can be determined to be
  * less than 50%, then the prediction should be reversed."
  *
- * Two-pass study: pass 1 profiles per-bucket accuracy of a confidence
- * estimator; buckets whose measured misprediction rate exceeds 50% form
- * the reversal set; pass 2 re-runs the trace inverting predictions in
- * those buckets and reports the accuracy delta.
+ * One replay profiles per-bucket accuracy of a confidence estimator;
+ * buckets whose measured misprediction rate exceeds 50% form the
+ * reversal set, and the study reports the accuracy of inverting every
+ * prediction in those buckets. The structures train on the base
+ * prediction either way, so the reversed run's counts follow from the
+ * profile without a second replay.
  *
  * The paper conjectures this application and our Table-1 data shows why
  * it is hard: even the least-confident resetting-counter bucket
@@ -34,8 +36,8 @@ namespace confsim {
 struct ReverserResult
 {
     std::uint64_t branches = 0;
-    std::uint64_t baseMispredicts = 0;     //!< pass-2 without reversal
-    std::uint64_t reversedMispredicts = 0; //!< pass-2 with reversal
+    std::uint64_t baseMispredicts = 0;     //!< without reversal
+    std::uint64_t reversedMispredicts = 0; //!< with reversal
     std::uint64_t reversals = 0;           //!< predictions inverted
     std::vector<std::uint64_t> reversalBuckets; //!< buckets inverted
 
@@ -55,15 +57,16 @@ struct ReverserResult
 };
 
 /**
- * Run the two-pass reverser study.
+ * Run the reverser study: one SimulationDriver pass over @p source
+ * from its current position, training the caller's components.
  *
- * @param source Trace; reset() is called between passes.
- * @param predictor Underlying predictor; reset() between passes.
- * @param estimator Confidence estimator; reset() between passes.
- * @param rate_threshold Buckets with pass-1 misprediction rate strictly
+ * @param source Trace, consumed to exhaustion.
+ * @param predictor Underlying predictor.
+ * @param estimator Confidence estimator.
+ * @param rate_threshold Buckets with a misprediction rate strictly
  *        above this are reversed (0.5 per the paper's rule).
- * @param min_bucket_refs Ignore buckets with fewer pass-1 references
- *        (noise guard).
+ * @param min_bucket_refs Ignore buckets with fewer references (noise
+ *        guard).
  */
 ReverserResult
 runReverser(TraceSource &source, BranchPredictor &predictor,

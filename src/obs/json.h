@@ -2,7 +2,7 @@
  * @file
  * Minimal JSON formatting helpers for the telemetry exporters. confsim
  * only ever *writes* JSON (JSONL event streams, run manifests,
- * BENCH_*.json perf reports), so a pair of escape/format functions is
+ * perfbench results), so a pair of escape/format functions is
  * all that is needed — no parser, no DOM, no dependency.
  */
 

@@ -390,18 +390,21 @@ SweepConfiguration
 makeNamedConfiguration(const std::string &name,
                        const std::string &predictor)
 {
-    // Native-confidence configs default to their matching predictor
-    // so the estimator's shadow replica mirrors the real structure;
+    // A native-confidence estimator describes a shadow replica of its
+    // own predictor, so it only means something on that predictor;
     // everything else defaults to the paper's large gshare.
+    std::string native;
+    if (name == "tage-provider")
+        native = "tage";
+    else if (name == "perceptron-margin")
+        native = "perceptron";
+    if (!native.empty() && !predictor.empty() && predictor != native)
+        fatal(ErrorCategory::kConfig,
+              "config '" + name + "' needs predictor '" + native +
+                  "', not '" + predictor + "'");
     std::string predictor_name = predictor;
-    if (predictor_name.empty()) {
-        if (name == "tage-provider")
-            predictor_name = "tage";
-        else if (name == "perceptron-margin")
-            predictor_name = "perceptron";
-        else
-            predictor_name = "gshare-large";
-    }
+    if (predictor_name.empty())
+        predictor_name = native.empty() ? "gshare-large" : native;
     PredictorFactory makePredictor =
         makeNamedPredictorFactory(predictor_name);
 

@@ -93,7 +93,8 @@ std::vector<std::string> knownConfigNames();
  * @p predictor defaults to the config's natural pairing — "tage" for
  * "tage-provider", "perceptron" for "perceptron-margin",
  * "gshare-large" otherwise.
- * @throws Error{kConfig} on an unknown name.
+ * @throws Error{kConfig} on an unknown name, or when a native-confidence
+ *         config is paired with any predictor but its own.
  */
 SweepConfiguration
 makeNamedConfiguration(const std::string &name,

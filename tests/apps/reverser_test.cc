@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "confidence/one_level.h"
+#include "predictor/bimodal.h"
 #include "predictor/gshare.h"
 #include "predictor/static_predictor.h"
 #include "trace/vector_trace_source.h"
@@ -90,6 +91,26 @@ TEST(ReverserTest, PassesAreDeterministicallyIdentical)
     // Threshold 1.01 is unreachable: reversal set provably empty.
     const auto result = runReverser(gen, pred, est, 1.01, 1.0);
     EXPECT_EQ(result.baseMispredicts, result.reversedMispredicts);
+}
+
+TEST(ReverserTest, WeakPredictorReversesSomeBucketsButNotAll)
+{
+    // A 1K bimodal predictor under raw CIR patterns: a few fine-grained
+    // contexts mispredict more often than not and get reversed, most do
+    // not. The counts are pinned so the reversal arithmetic cannot
+    // drift.
+    WorkloadGenerator gen(ibsProfile("groff"), 100000);
+    BimodalPredictor pred(1024);
+    OneLevelCirConfidence est(IndexScheme::PcXorBhr, 4096, 12,
+                              CirReduction::RawPattern, CtInit::Ones);
+    const auto result = runReverser(gen, pred, est, 0.5, 200.0);
+    EXPECT_EQ(result.branches, 100000u);
+    EXPECT_EQ(result.baseMispredicts, 19001u);
+    EXPECT_EQ(result.reversedMispredicts, 15395u);
+    EXPECT_EQ(result.reversals, 10448u);
+    EXPECT_EQ(result.reversalBuckets.size(), 3u);
+    EXPECT_LT(result.reversalBuckets.size(), est.numBuckets());
+    EXPECT_LT(result.reversedMispredicts, result.baseMispredicts);
 }
 
 } // namespace

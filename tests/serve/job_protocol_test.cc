@@ -10,11 +10,14 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "predictor/branch_predictor.h"
 #include "serve/job_protocol.h"
+#include "sim/experiment.h"
 #include "sim/run_policy.h"
 #include "util/error.h"
 
@@ -181,8 +184,11 @@ TEST(JobProtocolTest, RegistryCoversEveryAdvertisedName)
     const std::vector<std::string> names = knownConfigNames();
     EXPECT_GE(names.size(), 5u);
     for (const std::string &name : names) {
-        for (const char *predictor :
-             {"gshare-large", "gshare-small"}) {
+        const bool native =
+            name == "tage-provider" || name == "perceptron-margin";
+        for (const char *predictor : {"", "gshare-large", "gshare-small"}) {
+            if (native && *predictor != '\0')
+                continue; // pairing rules: NativeConfigsNeedTheirPredictor
             const SweepConfiguration config =
                 makeNamedConfiguration(name, predictor);
             EXPECT_NE(config.label, "");
@@ -192,6 +198,37 @@ TEST(JobProtocolTest, RegistryCoversEveryAdvertisedName)
     }
     EXPECT_THROW(makeNamedConfiguration("bogus", "gshare-large"),
                  Error);
+}
+
+TEST(JobProtocolTest, NativeConfigsNeedTheirPredictor)
+{
+    // Each native estimator shadows its own predictor; on any other
+    // predictor its buckets would describe a predictor nobody scores.
+    const std::vector<std::pair<std::string, std::string>> natives = {
+        {"tage-provider", "tage"}, {"perceptron-margin", "perceptron"}};
+    for (const auto &[name, own] : natives) {
+        for (const std::string &predictor :
+             {std::string(""), own}) {
+            const SweepConfiguration config =
+                makeNamedConfiguration(name, predictor);
+            EXPECT_EQ(config.makePredictor()->name(),
+                      makeNamedPredictorFactory(own)()->name())
+                << name << " on '" << predictor << "'";
+        }
+        for (const char *foreign :
+             {"gshare-large", "gshare-small",
+              own == "tage" ? "perceptron" : "tage"}) {
+            const std::string line =
+                R"({"op":"submit","configs":[")" + name +
+                R"("],"predictor":")" + foreign + R"("})";
+            try {
+                parseProtocolRequest(line);
+                FAIL() << "expected Error{kConfig} for: " << line;
+            } catch (const Error &e) {
+                EXPECT_EQ(e.category(), ErrorCategory::kConfig) << line;
+            }
+        }
+    }
 }
 
 TEST(JobProtocolTest, ResponsesRoundTripThroughTheParser)
