@@ -10,8 +10,9 @@
 #                      sweep differential harness and the chaos tests,
 #                      so fault injection, cancellation, and fail-fast
 #                      teardown are checked for data races — plus the
-#                      TAGE/perceptron predictor shard, whose shadow
-#                      replicas ride every sweep shard.
+#                      TAGE/perceptron predictor shard, whose memoized
+#                      lookups and paired native estimators ride every
+#                      sweep shard.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

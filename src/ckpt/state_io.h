@@ -157,6 +157,26 @@ class StateReader
                   std::to_string(expected));
     }
 
+    /**
+     * Consume expected.size() bytes and require them to equal
+     * @p expected: for a part whose state already lives elsewhere and
+     * was restored first, so the stored copy can only be checked.
+     */
+    void expectBytes(const std::vector<std::uint8_t> &expected,
+                     const char *what)
+    {
+        need(expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            if (data_[pos_ + i] != expected[i])
+                fatal(ErrorCategory::kCheckpoint,
+                      std::string("checkpoint state mismatch for ") +
+                          what + ": byte " + std::to_string(i) +
+                          " of " + std::to_string(expected.size()) +
+                          " differs");
+        }
+        pos_ += expected.size();
+    }
+
     std::size_t remaining() const { return size_ - pos_; }
     bool atEnd() const { return pos_ == size_; }
 

@@ -60,6 +60,13 @@ CompositeConfidence::reset()
     second_->reset();
 }
 
+void
+CompositeConfidence::pairWith(const BranchPredictor &predictor)
+{
+    first_->pairWith(predictor);
+    second_->pairWith(predictor);
+}
+
 std::pair<std::uint64_t, std::uint64_t>
 CompositeConfidence::splitBucket(std::uint64_t bucket) const
 {

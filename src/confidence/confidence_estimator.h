@@ -25,6 +25,8 @@
 
 namespace confsim {
 
+class BranchPredictor;
+
 /**
  * Abstract branch-prediction confidence mechanism.
  *
@@ -69,6 +71,19 @@ class ConfidenceEstimator : public Serializable
 
     /** Restore the initial (power-on) state. */
     virtual void reset() = 0;
+
+    /**
+     * Attach the predictor whose predictions this estimator grades.
+     * The replay engine calls it once per run, before the first
+     * branch, for every estimator of a configuration. Most estimators
+     * keep their own tables and ignore it. A native estimator (TAGE
+     * provider, perceptron margin) reads @p predictor's internal state
+     * from then on, so @p predictor must outlive its use.
+     *
+     * @throws Error{kConfig} if this estimator cannot grade
+     *         @p predictor (another family, or another geometry).
+     */
+    virtual void pairWith(const BranchPredictor & /*predictor*/) {}
 
     /**
      * True if larger bucket ids mean *higher* confidence by

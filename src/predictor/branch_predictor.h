@@ -4,9 +4,12 @@
  *
  * Predictors are used sequentially: for each dynamic conditional branch
  * the driver calls predict(pc), compares with the resolved outcome, then
- * calls update(pc, taken). predict() must not mutate state, so calling it
- * multiple times for the same branch (as composite predictors do) is
- * safe; all state changes happen in update().
+ * calls update(pc, taken). predict() must not change the predicted
+ * state, so calling it multiple times for the same branch (as composite
+ * predictors do) is safe; all state changes happen in update(). A
+ * predictor may memoize the lookup predict() computed for update() to
+ * reuse (TAGE, perceptron), so one predictor is used by one thread at a
+ * time.
  */
 
 #ifndef CONFSIM_PREDICTOR_BRANCH_PREDICTOR_H

@@ -13,7 +13,11 @@
  * The margin is a natural multi-level confidence signal: |margin| far
  * above theta means the weights agree emphatically, while a margin
  * near zero flags a coin-flip. confidence/perceptron_margin.h exposes
- * this to the paper's coverage/PVN methodology.
+ * this to the paper's coverage/PVN methodology by reading marginOf().
+ *
+ * The margin is computed once per branch: predict(), marginOf(),
+ * wouldTrain() and update() for the same pc share one memoized dot
+ * product, dropped on every state change.
  */
 
 #ifndef CONFSIM_PREDICTOR_PERCEPTRON_H
@@ -51,9 +55,17 @@ struct PerceptronConfig
     {
         return static_cast<std::int64_t>(1.93 * historyBits + 14.0);
     }
+
+    /** Same geometry, field for field. */
+    bool operator==(const PerceptronConfig &other) const = default;
 };
 
-/** PC-indexed weight-table predictor with margin confidence hooks. */
+/**
+ * PC-indexed weight-table predictor with margin confidence hooks.
+ *
+ * predict() memoizes the margin for its pc, so one predictor is used
+ * by one thread at a time.
+ */
 class PerceptronPredictor : public BranchPredictor
 {
   public:
@@ -75,7 +87,7 @@ class PerceptronPredictor : public BranchPredictor
     std::int64_t marginOf(std::uint64_t pc) const;
 
     /** The training threshold theta. */
-    std::int64_t theta() const { return config_.theta(); }
+    std::int64_t theta() const { return theta_; }
 
     /** True iff update(pc, taken) would adjust the weights now:
      *  mispredict, or |margin| <= theta. */
@@ -88,14 +100,28 @@ class PerceptronPredictor : public BranchPredictor
     std::uint64_t historyValue() const { return history_.value(); }
 
   private:
-    std::int32_t clampWeight(std::int64_t w) const;
+    void syncHistorySigns();
 
     PerceptronConfig config_;
+    unsigned rowBits_;
+    std::size_t rowStride_; //!< bias + historyBits
+    std::int64_t theta_;
     /** Flattened rows of (bias + historyBits) weights each. */
     std::vector<std::int32_t> weights_;
     HistoryRegister history_;
+    /**
+     * history_ one outcome per element, newest first: 0 for taken, -1
+     * for not taken, so (w ^ m) - m is +w or -w with no per-bit shift
+     * and the dot product vectorizes.
+     */
+    std::vector<std::int32_t> historySigns_;
     std::int32_t weightMax_;
     std::int32_t weightMin_;
+
+    /** The last marginOf() result and the pc it belongs to. */
+    mutable bool marginValid_ = false;
+    mutable std::uint64_t marginPc_ = 0;
+    mutable std::int64_t margin_ = 0;
 };
 
 } // namespace confsim

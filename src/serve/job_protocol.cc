@@ -390,9 +390,10 @@ SweepConfiguration
 makeNamedConfiguration(const std::string &name,
                        const std::string &predictor)
 {
-    // A native-confidence estimator describes a shadow replica of its
-    // own predictor, so it only means something on that predictor;
-    // everything else defaults to the paper's large gshare.
+    // A native-confidence estimator reads its own predictor's state,
+    // so it only means something on that predictor (the engine would
+    // reject any other as kConfig); everything else defaults to the
+    // paper's large gshare.
     std::string native;
     if (name == "tage-provider")
         native = "tage";

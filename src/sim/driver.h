@@ -79,10 +79,20 @@ struct DriverOptions
      */
     std::uint64_t contextSwitchInterval = 0;
 
-    /** Flush the branch predictor at a context switch. */
+    /**
+     * Flush the branch predictor at a context switch. A native
+     * estimator paired with it (TAGE provider, perceptron margin)
+     * has no state but the predictor's, so it is flushed here too,
+     * whatever flushEstimatorsOnSwitch says.
+     */
     bool flushPredictorOnSwitch = true;
 
-    /** Flush the confidence estimators at a context switch. */
+    /**
+     * Flush the confidence estimators at a context switch. A paired
+     * native estimator's state is its predictor's, so its reset()
+     * leaves it alone: it follows flushPredictorOnSwitch instead, and
+     * always grades the predictor being scored.
+     */
     bool flushEstimatorsOnSwitch = true;
 
     /**

@@ -225,16 +225,19 @@ twoLevelConfig(IndexScheme first_scheme, SecondLevelIndex second_index,
                unsigned second_cir_bits = paper::kCirBits);
 
 /**
- * TAGE's built-in provider confidence. Pair with tageFactory() of the
- * same geometry so the estimator's shadow replica tracks the real
- * predictor bit-for-bit.
+ * TAGE's built-in provider confidence. It reads the provider state of
+ * its configuration's predictor, so pair it with tageFactory() of the
+ * same geometry; the replay engine rejects any other predictor as
+ * Error{kConfig}.
  */
 EstimatorConfig
 tageProviderConfig(TageConfig config = TageConfig::makeDefault());
 
 /**
- * Perceptron |margin|-vs-theta confidence. Pair with
- * perceptronFactory() of the same geometry.
+ * Perceptron |margin|-vs-theta confidence. It reads its
+ * configuration's predictor's margin, so pair it with
+ * perceptronFactory() of the same geometry; the replay engine rejects
+ * any other predictor as Error{kConfig}.
  */
 EstimatorConfig
 perceptronMarginConfig(

@@ -119,8 +119,8 @@ estimatorFamilyRegistry()
                  std::make_unique<SelfCounterConfidence>(
                      IndexScheme::Pc, 1024, 3));
          })});
-    // Native-confidence estimators pair with their own predictor so
-    // the estimator's shadow replica is a bit-exact mirror of it.
+    // Native-confidence estimators read the predictor they are paired
+    // with, which must be of their own family and geometry.
     families.push_back(
         {"tage_provider",
          [] {

@@ -1,11 +1,13 @@
 #include "sim/sweep_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -158,6 +160,31 @@ requireCheckpointable(const BranchPredictor &predictor,
                   estimator->name() + "' is not checkpointable");
         }
     }
+}
+
+/**
+ * Longest-processing-time assignment of configurations to @p shards:
+ * heaviest @p cost first, each to the shard with the least cost so far
+ * (ties go to the lower shard, equal costs keep configuration order).
+ */
+std::vector<std::vector<std::size_t>>
+lptShards(const std::vector<std::uint64_t> &cost, std::size_t shards)
+{
+    std::vector<std::size_t> order(cost.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&cost](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
+    std::vector<std::vector<std::size_t>> out(shards);
+    std::vector<std::uint64_t> load(shards, 0);
+    for (const std::size_t c : order) {
+        const auto s = static_cast<std::size_t>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        out[s].push_back(c);
+        load[s] += cost[c];
+    }
+    return out;
 }
 
 /**
@@ -983,6 +1010,10 @@ SweepEngine::runImpl(TraceSource &source,
             for (const auto &estimator : state->ownedEstimators)
                 state->estimators.push_back(estimator.get());
         }
+        // Native estimators grade their configuration's predictor by
+        // reading it; a pairing they cannot grade fails here as kConfig.
+        for (auto *estimator : state->estimators)
+            estimator->pairWith(*state->predictor);
         if (ckptEvery_ != 0)
             requireCheckpointable(*state->predictor, state->estimators);
         state->attach(plan);
@@ -1019,7 +1050,7 @@ SweepEngine::runImpl(TraceSource &source,
 
     // Parallelism: a shared pool (if provided) or an engine-owned one.
     // Either way shards never exceed the configuration count — a batch
-    // is split into min(workers, configs) contiguous config ranges.
+    // is split into min(workers, configs) groups of configs.
     // A lone engine can't use more workers than it has configurations
     // (per-config replay is serial by the bit-exactness contract);
     // SuiteRunner::runSweep recovers surplus cores by pipelining
@@ -1128,22 +1159,43 @@ SweepEngine::runImpl(TraceSource &source,
         }
     };
 
-    // Contiguous config shards, one task per shard per batch. runAll
-    // blocks until every shard finishes, so the states are quiescent
-    // between batches (which keeps batch-boundary checkpoints
-    // race-free) regardless of who owns the pool. Each shard adds its
-    // replay time to its own slot of shard_busy_ns; the sum against
-    // wall x shards is the pipeline-occupancy headline.
+    // One task per shard per batch. runAll blocks until every shard
+    // finishes, so the states are quiescent between batches (which
+    // keeps batch-boundary checkpoints race-free) regardless of who
+    // owns the pool. Each shard adds its replay time to its own slot
+    // of shard_busy_ns; the sum against wall x shards is the
+    // pipeline-occupancy headline.
+    //
+    // The first batch runs contiguous config ranges and times every
+    // config; from the second batch on the configs are assigned to
+    // shards longest-processing-time first by those costs, so the
+    // expensive families spread across shards. A config replays on one
+    // shard at a time either way, so assignment never changes results.
     SpanTracer *const spans = driver_.spans;
     std::vector<std::uint64_t> shard_busy_ns(shard_count, 0);
+    std::vector<std::vector<std::size_t>> shard_configs(shard_count);
+    for (std::size_t s = 0; s < shard_count; ++s) {
+        for (std::size_t c = states_.size() * s / shard_count;
+             c < states_.size() * (s + 1) / shard_count; ++c)
+            shard_configs[s].push_back(c);
+    }
+    std::vector<std::uint64_t> config_ns; // first batch only
+    if (shard_count > 1)
+        config_ns.assign(states_.size(), 0);
     const auto replayShard = [&](std::size_t s,
                                  const RecordBatch &batch) {
         const Clock::time_point s0 = Clock::now();
         {
             ScopedSpan replay_span(spans, "shard.replay");
-            for (std::size_t c = states_.size() * s / shard_count;
-                 c < states_.size() * (s + 1) / shard_count; ++c)
+            for (const std::size_t c : shard_configs[s]) {
+                if (config_ns.empty()) {
+                    replayConfig(c, batch);
+                    continue;
+                }
+                const Clock::time_point c0 = Clock::now();
                 replayConfig(c, batch);
+                config_ns[c] = static_cast<std::uint64_t>(nsSince(c0));
+            }
         }
         shard_busy_ns[s] += static_cast<std::uint64_t>(nsSince(s0));
     };
@@ -1165,6 +1217,10 @@ SweepEngine::runImpl(TraceSource &source,
                 });
             }
             pool->runAll(std::move(tasks), guard.cancel);
+            if (!config_ns.empty()) {
+                shard_configs = lptShards(config_ns, shard_count);
+                config_ns.clear();
+            }
         }
         batch_ns.add(nsSince(t0));
         ++result.batches;

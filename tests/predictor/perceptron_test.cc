@@ -5,8 +5,14 @@
  * exactly the sign of the margin, training fires iff the prediction
  * was wrong or |margin| <= theta (and moves every weight by exactly
  * +/-1 toward agreement, clamped to the weight range), the confidence
- * bucket is monotone in |margin|, and the estimator's shadow replica
- * reproduces a main predictor's margins bit-for-bit.
+ * bucket is monotone in |margin|, and the unpaired estimator's private
+ * perceptron reproduces a main predictor's margins bit-for-bit.
+ *
+ * The speed paths are pinned against their direct definitions: the
+ * cached row bits and the memoized margin against the dot product
+ * spelled out here, across reset() and loadState(); predict() before
+ * update() against update() alone; and the paired estimator's reading
+ * against the unpaired one.
  */
 
 #include "predictor/perceptron.h"
@@ -20,6 +26,9 @@
 
 #include "ckpt/state_io.h"
 #include "confidence/perceptron_margin.h"
+#include "predictor/tage.h"
+#include "util/bits.h"
+#include "util/error.h"
 
 namespace confsim {
 namespace {
@@ -44,6 +53,85 @@ class Xorshift
   private:
     std::uint64_t state_;
 };
+
+/** The margin straight from its definition: bias plus the history
+ *  bits as +/-1 dotted with the row's weights. */
+std::int64_t
+directMargin(const PerceptronPredictor &pred, std::uint64_t pc)
+{
+    const std::uint64_t row =
+        xorFold(pc >> 2, log2Exact(pred.config().numRows));
+    std::int64_t sum = pred.weightAt(row, 0);
+    for (unsigned i = 0; i < pred.config().historyBits; ++i) {
+        const std::int32_t w = pred.weightAt(row, i + 1);
+        sum += bitOf(pred.historyValue(), i) != 0 ? w : -w;
+    }
+    return sum;
+}
+
+TEST(PerceptronTest, CachedRowAndMarginMatchDirectFormula)
+{
+    PerceptronConfig deep = PerceptronConfig::makeSmall();
+    deep.historyBits = 64;
+    deep.weightBits = 16;
+    for (const PerceptronConfig &config :
+         {PerceptronConfig::makeSmall(), PerceptronConfig::makeDefault(),
+          deep}) {
+        PerceptronPredictor pred(config);
+        PerceptronPredictor other(config);
+        SCOPED_TRACE(pred.name());
+        Xorshift rng(0x9EC50010u);
+        for (int i = 0; i < 12'000; ++i) {
+            const std::uint64_t r = rng.next();
+            const std::uint64_t pc = ((r >> 8) & 0xFFFF) * 4;
+            const bool taken = (r & 1) != 0;
+            ASSERT_EQ(pred.rowOf(pc),
+                      xorFold(pc >> 2, log2Exact(config.numRows)))
+                << "step " << i;
+            const std::int64_t want = directMargin(pred, pc);
+            ASSERT_EQ(pred.marginOf(pc), want) << "step " << i;
+            ASSERT_EQ(pred.predict(pc), want >= 0) << "step " << i;
+            // The memoized margin answers again until the state moves.
+            ASSERT_EQ(pred.marginOf(pc), want) << "step " << i;
+            pred.update(pc, taken);
+            other.update(((r >> 24) & 0xFFF) * 4, (r & 2) != 0);
+            if (i == 4'000) {
+                StateWriter out;
+                other.saveState(out);
+                StateReader in(out.bytes());
+                pred.loadState(in);
+            } else if (i == 8'000) {
+                pred.reset();
+            }
+        }
+    }
+}
+
+TEST(PerceptronTest, PredictThenUpdateEqualsUpdateAlone)
+{
+    PerceptronPredictor probed(PerceptronConfig::makeSmall());
+    PerceptronPredictor plain(PerceptronConfig::makeSmall());
+    Xorshift rng(0x9EC50011u);
+    for (int i = 0; i < 20'000; ++i) {
+        const std::uint64_t r = rng.next();
+        const std::uint64_t pc = ((r >> 8) & 0x3FF) * 4;
+        const bool taken = (r & 1) != 0;
+        probed.predict(pc);
+        if ((r & 0x30) == 0)
+            probed.marginOf(pc + 4);
+        if ((r & 0xC0) == 0)
+            probed.wouldTrain(pc, !taken);
+        probed.update(pc, taken);
+        plain.update(pc, taken);
+        if (i % 5'000 == 4'999) {
+            StateWriter a;
+            StateWriter b;
+            probed.saveState(a);
+            plain.saveState(b);
+            ASSERT_EQ(a.bytes(), b.bytes()) << "step " << i;
+        }
+    }
+}
 
 TEST(PerceptronTest, ConfigValidationAndTheta)
 {
@@ -164,6 +252,26 @@ TEST(PerceptronTest, LoadStateRejectsMismatchedGeometry)
     EXPECT_THROW(large.loadState(in), std::runtime_error);
 }
 
+TEST(PerceptronTest, LoadStateRejectsOutOfRangeWeight)
+{
+    PerceptronPredictor pred(PerceptronConfig::makeSmall());
+    StateWriter out;
+    pred.saveState(out);
+    std::vector<std::uint8_t> bytes = out.bytes();
+    // The first weight follows the u64 weight count; make it 2^31 - 1.
+    bytes[8] = 0xFF;
+    bytes[9] = 0xFF;
+    bytes[10] = 0xFF;
+    bytes[11] = 0x7F;
+    StateReader in(bytes);
+    try {
+        pred.loadState(in);
+        FAIL() << "an out-of-range weight was accepted";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kCheckpoint);
+    }
+}
+
 TEST(PerceptronMarginConfidenceTest, BucketIsMonotoneInMargin)
 {
     const PerceptronConfig config = PerceptronConfig::makeSmall();
@@ -215,6 +323,93 @@ TEST(PerceptronMarginConfidenceTest, ShadowTracksMainPredictorBitExactly)
         const bool correct = main.predict(pc) == taken;
         conf.update(ctx, correct, taken);
         main.update(pc, taken);
+    }
+}
+
+TEST(PerceptronMarginConfidenceTest, PairedReadsMatchUnpaired)
+{
+    PerceptronPredictor main(PerceptronConfig::makeSmall());
+    PerceptronMarginConfidence paired(PerceptronConfig::makeSmall(), 8);
+    PerceptronMarginConfidence unpaired(PerceptronConfig::makeSmall(), 8);
+    paired.pairWith(main);
+    ASSERT_TRUE(paired.paired());
+    ASSERT_FALSE(unpaired.paired());
+
+    Xorshift rng(0x9EC50012u);
+    BranchContext ctx;
+    for (int i = 0; i < 50'000; ++i) {
+        const std::uint64_t r = rng.next();
+        ctx.pc = ((r >> 8) & 0xFF) * 4;
+        const bool taken = (r & 1) != 0;
+        const bool correct = main.predict(ctx.pc) == taken;
+        ASSERT_EQ(paired.bucketOf(ctx), unpaired.bucketOf(ctx))
+            << "step " << i;
+
+        StateWriter before;
+        main.saveState(before);
+        paired.update(ctx, correct, taken);
+        if (i % 10'000 == 0)
+            paired.reset();
+        StateWriter after;
+        main.saveState(after);
+        ASSERT_EQ(before.bytes(), after.bytes())
+            << "the paired estimator wrote to its predictor at step " << i;
+
+        unpaired.update(ctx, correct, taken);
+        main.update(ctx.pc, taken);
+    }
+    StateWriter a;
+    StateWriter b;
+    paired.saveState(a);
+    unpaired.saveState(b);
+    EXPECT_EQ(a.bytes(), b.bytes());
+    EXPECT_EQ(paired.storageBits(), unpaired.storageBits());
+}
+
+TEST(PerceptronMarginConfidenceTest, PairWithRejectsAnotherFamilyOrGeometry)
+{
+    const auto expectConfigError = [](const BranchPredictor &predictor) {
+        PerceptronMarginConfidence conf(PerceptronConfig::makeSmall(), 8);
+        try {
+            conf.pairWith(predictor);
+            ADD_FAILURE() << "paired with " << predictor.name();
+        } catch (const Error &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::kConfig);
+        }
+        EXPECT_FALSE(conf.paired());
+    };
+    expectConfigError(TagePredictor(TageConfig::makeSmall()));
+    expectConfigError(PerceptronPredictor(PerceptronConfig::makeDefault()));
+    PerceptronConfig narrow = PerceptronConfig::makeSmall();
+    narrow.weightBits = 6;
+    expectConfigError(PerceptronPredictor(narrow));
+}
+
+TEST(PerceptronMarginConfidenceTest, PairedLoadStateChecksThePredictorBytes)
+{
+    PerceptronPredictor main(PerceptronConfig::makeSmall());
+    PerceptronMarginConfidence conf(PerceptronConfig::makeSmall(), 8);
+    conf.pairWith(main);
+    Xorshift rng(0x9EC50013u);
+    for (int i = 0; i < 5'000; ++i) {
+        const std::uint64_t r = rng.next();
+        main.update(((r >> 8) & 0xFF) * 4, (r & 1) != 0);
+    }
+    StateWriter out;
+    conf.saveState(out);
+    {
+        StateReader in(out.bytes());
+        conf.loadState(in);
+        EXPECT_TRUE(in.atEnd());
+    }
+    std::vector<std::uint8_t> corrupt = out.bytes();
+    corrupt[corrupt.size() / 3] ^= 0x80;
+    StateReader in(corrupt);
+    try {
+        conf.loadState(in);
+        FAIL() << "a corrupt estimator part was accepted";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kCheckpoint);
     }
 }
 

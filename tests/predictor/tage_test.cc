@@ -5,9 +5,15 @@
  * relies on: useful counters move only on provider-vs-alternate
  * disagreement outcomes, periodic aging halves every useful counter,
  * allocation on a mispredict claims the first u == 0 candidate (or
- * decays all candidates when none is free), and the shadow replica in
- * TageProviderConfidence stays bit-identical to a main predictor fed
- * the same outcome stream.
+ * decays all candidates when none is free), and the unpaired
+ * TageProviderConfidence (driving its private TAGE) stays
+ * bit-identical to a main predictor fed the same outcome stream.
+ *
+ * The speed paths are pinned against their direct definitions: the
+ * folded-history registers behind indexOf()/tagOf() against
+ * xorFold(history & mask(length), width) across reset(), loadState()
+ * and aging; the memoized lookup against update() alone; and the
+ * paired estimator's reading against the unpaired one.
  */
 
 #include "predictor/tage.h"
@@ -20,6 +26,9 @@
 
 #include "ckpt/state_io.h"
 #include "confidence/tage_confidence.h"
+#include "predictor/gshare.h"
+#include "util/bits.h"
+#include "util/error.h"
 
 namespace confsim {
 namespace {
@@ -52,6 +61,144 @@ noAgingConfig()
     TageConfig config = TageConfig::makeSmall();
     config.agingPeriod = 0;
     return config;
+}
+
+/** Geometries that exercise every fold width corner: the reference
+ *  ones, a 64-bit history, 2-bit tags, and a one-entry table whose
+ *  index has no bits at all. */
+std::vector<TageConfig>
+foldGeometries()
+{
+    TageConfig wide = TageConfig::makeSmall();
+    wide.taggedEntries = std::size_t{1} << 5;
+    wide.tagBits = 2;
+    wide.historyLengths = {1, 5, 7, 33, 64};
+    wide.agingPeriod = 1000;
+    TageConfig single = TageConfig::makeSmall();
+    single.taggedEntries = 1;
+    single.tagBits = 16;
+    single.historyLengths = {3, 16, 17};
+    single.agingPeriod = 777;
+    TageConfig small = TageConfig::makeSmall();
+    small.agingPeriod = 1500;
+    TageConfig large = TageConfig::makeDefault();
+    large.agingPeriod = 2048;
+    return {small, large, wide, single};
+}
+
+/** The index hash straight from its definition. */
+std::uint64_t
+directIndex(const TagePredictor &pred, std::size_t table, std::uint64_t pc)
+{
+    const unsigned bits = log2Exact(pred.config().taggedEntries);
+    const std::uint64_t hist =
+        pred.historyValue() & mask(pred.config().historyLengths[table]);
+    return (xorFold(pc >> 2, bits) ^ xorFold((pc >> 2) >> (table + 1), bits) ^
+            xorFold(hist, bits)) &
+           mask(bits);
+}
+
+/** The double-folded tag hash straight from its definition. */
+std::uint16_t
+directTag(const TagePredictor &pred, std::size_t table, std::uint64_t pc)
+{
+    const unsigned bits = pred.config().tagBits;
+    const std::uint64_t hist =
+        pred.historyValue() & mask(pred.config().historyLengths[table]);
+    return static_cast<std::uint16_t>(
+        (xorFold(pc >> 2, bits) ^ xorFold(hist, bits) ^
+         (xorFold(hist, bits - 1) << 1)) &
+        mask(bits));
+}
+
+/** Check every table's hashes, and the provider/alt the memoized
+ *  lookup found, against the direct definitions. */
+void
+expectHashesMatchFormula(const TagePredictor &pred, std::uint64_t pc,
+                         int step)
+{
+    int provider = -1;
+    int alt = -1;
+    for (std::size_t t = pred.numTables(); t-- > 0;) {
+        const std::uint64_t index = directIndex(pred, t, pc);
+        const std::uint16_t tag = directTag(pred, t, pc);
+        ASSERT_EQ(pred.indexOf(t, pc), index)
+            << "table " << t << " step " << step;
+        ASSERT_EQ(pred.tagOf(t, pc), tag) << "table " << t << " step " << step;
+        if (pred.entryAt(t, index).tag == tag) {
+            if (provider < 0)
+                provider = static_cast<int>(t);
+            else if (alt < 0)
+                alt = static_cast<int>(t);
+        }
+    }
+    const TagePrediction d = pred.predictDetail(pc);
+    ASSERT_EQ(d.providerTable, provider) << "step " << step;
+    ASSERT_EQ(d.altTable, alt) << "step " << step;
+}
+
+TEST(TageTest, FoldedRegistersMatchDirectFormula)
+{
+    for (const TageConfig &config : foldGeometries()) {
+        TagePredictor pred(config);
+        SCOPED_TRACE(pred.name());
+        TagePredictor other(config);
+        Xorshift rng(0x7A6E0010u);
+        std::uint64_t agings = 0;
+        for (int i = 0; i < 12'000; ++i) {
+            const std::uint64_t r = rng.next();
+            const std::uint64_t pc = ((r >> 8) & 0xFFFF) * 4;
+            const bool taken = (r & 1) != 0;
+            expectHashesMatchFormula(pred, pc, i);
+            if (HasFatalFailure())
+                return;
+            pred.update(pc, taken);
+            agings += config.agingPeriod != 0 &&
+                      pred.updateCount() % config.agingPeriod == 0;
+            other.update(((r >> 24) & 0xFFF) * 4, (r & 2) != 0);
+
+            if (i == 4'000) {
+                // Registers rebuilt from a restored history...
+                StateWriter out;
+                other.saveState(out);
+                StateReader in(out.bytes());
+                pred.loadState(in);
+                ASSERT_EQ(pred.historyValue(), other.historyValue());
+            } else if (i == 8'000) {
+                // ...and from a cleared one.
+                pred.reset();
+            }
+        }
+        EXPECT_GT(agings, 0u) << "the stream never crossed an aging";
+    }
+}
+
+TEST(TageTest, PredictThenUpdateEqualsUpdateAlone)
+{
+    for (const TageConfig &config : foldGeometries()) {
+        TagePredictor probed(config);
+        TagePredictor plain(config);
+        SCOPED_TRACE(plain.name());
+        Xorshift rng(0x7A6E0011u);
+        for (int i = 0; i < 20'000; ++i) {
+            const std::uint64_t r = rng.next();
+            const std::uint64_t pc = ((r >> 8) & 0x3FF) * 4;
+            const bool taken = (r & 1) != 0;
+            // Memoize this pc's lookup, sometimes another pc's on top.
+            probed.predict(pc);
+            if ((r & 0x30) == 0)
+                probed.predictDetail(pc + 4);
+            probed.update(pc, taken);
+            plain.update(pc, taken);
+            if (i % 5'000 == 4'999) {
+                StateWriter a;
+                StateWriter b;
+                probed.saveState(a);
+                plain.saveState(b);
+                ASSERT_EQ(a.bytes(), b.bytes()) << "step " << i;
+            }
+        }
+    }
 }
 
 TEST(TageTest, ConfigValidation)
@@ -320,6 +467,98 @@ TEST(TageProviderConfidenceTest, ShadowTracksMainPredictorBitExactly)
         const bool correct = main.predict(pc) == taken;
         conf.update(ctx, correct, taken);
         main.update(pc, taken);
+    }
+}
+
+TEST(TageProviderConfidenceTest, PairedReadsMatchUnpaired)
+{
+    // A paired estimator reads the main predictor; an unpaired one
+    // drives its private replica. Same stream, same buckets, same
+    // checkpoint bytes — and the paired one never writes to the
+    // predictor it reads.
+    TagePredictor main(TageConfig::makeSmall());
+    TageProviderConfidence paired(TageConfig::makeSmall());
+    TageProviderConfidence unpaired(TageConfig::makeSmall());
+    paired.pairWith(main);
+    ASSERT_TRUE(paired.paired());
+    ASSERT_FALSE(unpaired.paired());
+
+    Xorshift rng(0x7A6E0012u);
+    BranchContext ctx;
+    for (int i = 0; i < 50'000; ++i) {
+        const std::uint64_t r = rng.next();
+        ctx.pc = ((r >> 8) & 0xFF) * 4;
+        const bool taken = (r & 1) != 0;
+        const bool correct = main.predict(ctx.pc) == taken;
+        ASSERT_EQ(paired.bucketOf(ctx), unpaired.bucketOf(ctx))
+            << "step " << i;
+
+        StateWriter before;
+        main.saveState(before);
+        paired.update(ctx, correct, taken);
+        if (i % 10'000 == 0)
+            paired.reset();
+        StateWriter after;
+        main.saveState(after);
+        ASSERT_EQ(before.bytes(), after.bytes())
+            << "the paired estimator wrote to its predictor at step " << i;
+
+        unpaired.update(ctx, correct, taken);
+        main.update(ctx.pc, taken);
+    }
+    StateWriter a;
+    StateWriter b;
+    paired.saveState(a);
+    unpaired.saveState(b);
+    EXPECT_EQ(a.bytes(), b.bytes());
+    EXPECT_EQ(paired.storageBits(), unpaired.storageBits());
+    EXPECT_EQ(paired.numBuckets(), unpaired.numBuckets());
+}
+
+TEST(TageProviderConfidenceTest, PairWithRejectsAnotherFamilyOrGeometry)
+{
+    const auto expectConfigError = [](const BranchPredictor &predictor) {
+        TageProviderConfidence conf(TageConfig::makeSmall());
+        try {
+            conf.pairWith(predictor);
+            ADD_FAILURE() << "paired with " << predictor.name();
+        } catch (const Error &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::kConfig);
+        }
+        EXPECT_FALSE(conf.paired());
+    };
+    expectConfigError(GsharePredictor(1024, 10));
+    expectConfigError(TagePredictor(TageConfig::makeDefault()));
+    TageConfig no_aging = TageConfig::makeSmall();
+    no_aging.agingPeriod = 0;
+    expectConfigError(TagePredictor(no_aging));
+}
+
+TEST(TageProviderConfidenceTest, PairedLoadStateChecksThePredictorBytes)
+{
+    TagePredictor main(TageConfig::makeSmall());
+    TageProviderConfidence conf(TageConfig::makeSmall());
+    conf.pairWith(main);
+    Xorshift rng(0x7A6E0013u);
+    for (int i = 0; i < 5'000; ++i) {
+        const std::uint64_t r = rng.next();
+        main.update(((r >> 8) & 0xFF) * 4, (r & 1) != 0);
+    }
+    StateWriter out;
+    conf.saveState(out);
+    {
+        StateReader in(out.bytes());
+        conf.loadState(in);
+        EXPECT_TRUE(in.atEnd());
+    }
+    std::vector<std::uint8_t> corrupt = out.bytes();
+    corrupt[corrupt.size() / 3] ^= 0x80;
+    StateReader in(corrupt);
+    try {
+        conf.loadState(in);
+        FAIL() << "a corrupt estimator part was accepted";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kCheckpoint);
     }
 }
 

@@ -202,8 +202,9 @@ TEST(JobProtocolTest, RegistryCoversEveryAdvertisedName)
 
 TEST(JobProtocolTest, NativeConfigsNeedTheirPredictor)
 {
-    // Each native estimator shadows its own predictor; on any other
-    // predictor its buckets would describe a predictor nobody scores.
+    // Each native estimator reads its own predictor's state; the
+    // engine rejects any other predictor as kConfig, and the protocol
+    // rejects the request before it becomes a job.
     const std::vector<std::pair<std::string, std::string>> natives = {
         {"tage-provider", "tage"}, {"perceptron-margin", "perceptron"}};
     for (const auto &[name, own] : natives) {

@@ -20,6 +20,11 @@
  * matches bit-for-bit across W<S, W=S, W>S, and S=1 compositions. A
  * discrepancy here means the driver's loop order drifted from the
  * documentation.
+ *
+ * A native estimator paired with its predictor has no state of its
+ * own, so it is flushed with the predictor: under the split flush
+ * flags its buckets must match a hand loop that reads the live
+ * predictor, whatever flushEstimatorsOnSwitch says.
  */
 
 #include <cstdint>
@@ -29,7 +34,9 @@
 #include <gtest/gtest.h>
 
 #include "confidence/one_level.h"
+#include "confidence/tage_confidence.h"
 #include "predictor/gshare.h"
+#include "predictor/tage.h"
 #include "predictor/history_register.h"
 #include "sim/driver.h"
 #include "util/shift_register.h"
@@ -232,6 +239,85 @@ TEST(WarmupContextSwitch, SwitchClockTicksThroughWarmup)
     EXPECT_EQ(full.branches,
               result.branches + options.warmupBranches);
     EXPECT_EQ(full.contextSwitches, result.contextSwitches);
+}
+
+/**
+ * TAGE with its provider confidence, bucket read straight from the
+ * live predictor: only flushPredictorOnSwitch can touch what it reads.
+ */
+ReferenceResult
+nativeReferenceRun(TraceSource &source, const DriverOptions &options)
+{
+    TagePredictor predictor(TageConfig::makeSmall());
+    ReferenceResult result(2 * predictor.strengthLevels());
+    std::uint64_t simulated = 0;
+    std::uint64_t since_switch = 0;
+    BranchRecord record;
+    while (source.next(record)) {
+        if (!record.isConditional())
+            continue;
+        const TagePrediction detail = predictor.predictDetail(record.pc);
+        const bool correct = detail.taken == record.taken;
+        if (simulated >= options.warmupBranches) {
+            ++result.branches;
+            if (!correct)
+                ++result.mispredicts;
+            const bool agree = detail.providerTaken == detail.altTaken;
+            result.stats.record(2 * detail.providerStrength + (agree ? 1 : 0),
+                                !correct);
+        }
+        predictor.update(record.pc, record.taken);
+        ++simulated;
+        if (options.contextSwitchInterval != 0 &&
+            ++since_switch == options.contextSwitchInterval) {
+            since_switch = 0;
+            if (options.flushPredictorOnSwitch)
+                predictor.reset();
+            ++result.contextSwitches;
+        }
+    }
+    return result;
+}
+
+TEST(WarmupContextSwitch, PairedNativeEstimatorFlushesWithItsPredictor)
+{
+    const bool flags[][2] = {
+        {true, true}, {true, false}, {false, true}, {false, false}};
+    for (const auto &flag : flags) {
+        SCOPED_TRACE(std::string("flushPredictor=") + (flag[0] ? "1" : "0") +
+                     " flushEstimators=" + (flag[1] ? "1" : "0"));
+        DriverOptions options;
+        options.warmupBranches = 2'000;
+        options.contextSwitchInterval = 900;
+        options.flushPredictorOnSwitch = flag[0];
+        options.flushEstimatorsOnSwitch = flag[1];
+
+        auto reference_source = freshSource();
+        const ReferenceResult expected =
+            nativeReferenceRun(*reference_source, options);
+
+        TagePredictor predictor(TageConfig::makeSmall());
+        TageProviderConfidence estimator(TageConfig::makeSmall());
+        SimulationDriver driver(predictor, {&estimator}, options);
+        auto driver_source = freshSource();
+        const DriverResult actual = driver.run(*driver_source);
+        EXPECT_TRUE(estimator.paired());
+
+        EXPECT_EQ(expected.branches, actual.branches);
+        EXPECT_EQ(expected.mispredicts, actual.mispredicts);
+        EXPECT_EQ(expected.contextSwitches, actual.contextSwitches);
+        ASSERT_EQ(actual.estimatorStats.size(), 1u);
+        ASSERT_EQ(expected.stats.numBuckets(),
+                  actual.estimatorStats[0].numBuckets());
+        for (std::uint64_t b = 0; b < expected.stats.numBuckets(); ++b) {
+            EXPECT_EQ(expected.stats[b].refs,
+                      actual.estimatorStats[0][b].refs)
+                << "bucket " << b;
+            EXPECT_EQ(expected.stats[b].mispredicts,
+                      actual.estimatorStats[0][b].mispredicts)
+                << "bucket " << b;
+        }
+    }
 }
 
 } // namespace
