@@ -41,7 +41,8 @@ runDualPath(TraceSource &source, BranchPredictor &predictor,
 
         const bool predicted = predictor.predict(record.pc);
         const bool correct = (predicted == record.taken);
-        const std::uint64_t bucket = estimator.bucketOf(ctx);
+        const std::uint64_t bucket =
+            estimator.observe(ctx, correct, record.taken);
         const bool low_confidence =
             bucket < low_buckets.size() && low_buckets[bucket];
 
@@ -83,7 +84,6 @@ runDualPath(TraceSource &source, BranchPredictor &predictor,
             }
         }
 
-        estimator.update(ctx, correct, record.taken);
         predictor.update(record.pc, record.taken);
         bhr.recordOutcome(record.taken);
         gcir.shiftIn(!correct);

@@ -17,6 +17,11 @@ runHybridSelector(TraceSource &source, BranchPredictor &first,
         fatal("hybrid selection requires ordered-bucket (counter) "
               "confidence estimators");
     }
+    // Each observe() trains its estimator before the other reads, so
+    // one estimator cannot grade both constituents.
+    if (&first_confidence == &second_confidence)
+        fatal("hybrid selection requires two distinct confidence "
+              "estimators");
 
     HybridSelectorResult result;
     HistoryRegister bhr(16);
@@ -33,15 +38,18 @@ runHybridSelector(TraceSource &source, BranchPredictor &first,
 
         const bool p1 = first.predict(record.pc);
         const bool p2 = second.predict(record.pc);
-        const std::uint64_t c1 = first_confidence.bucketOf(ctx);
-        const std::uint64_t c2 = second_confidence.bucketOf(ctx);
+        const bool correct1 = (p1 == record.taken);
+        const bool correct2 = (p2 == record.taken);
+
+        // Each estimator tracks its own constituent's correctness.
+        const std::uint64_t c1 =
+            first_confidence.observe(ctx, correct1, record.taken);
+        const std::uint64_t c2 =
+            second_confidence.observe(ctx, correct2, record.taken);
 
         // Confidence arbitration: the more confident constituent wins;
         // ties go to the second constituent.
         const bool selected = (c1 > c2) ? p1 : p2;
-
-        const bool correct1 = (p1 == record.taken);
-        const bool correct2 = (p2 == record.taken);
         const bool correct_sel = (selected == record.taken);
 
         ++result.branches;
@@ -56,9 +64,6 @@ runHybridSelector(TraceSource &source, BranchPredictor &first,
         if (!correct1 && !correct2)
             ++result.oracleMispredicts;
 
-        // Each estimator tracks its own constituent's correctness.
-        first_confidence.update(ctx, correct1, record.taken);
-        second_confidence.update(ctx, correct2, record.taken);
         first.update(record.pc, record.taken);
         second.update(record.pc, record.taken);
         bhr.recordOutcome(record.taken);

@@ -51,7 +51,9 @@ struct HybridSelectorResult
  *
  * Both estimators must have ordered buckets (bucketsAreOrdered()), so
  * "higher bucket = higher confidence" is meaningful; ties go to the
- * second constituent (by convention the more accurate one).
+ * second constituent (by convention the more accurate one). The two
+ * estimators must be distinct objects: each grades its own
+ * constituent.
  *
  * @param source Trace (consumed from current position).
  * @param first Constituent 1 (e.g. bimodal) and its estimator.

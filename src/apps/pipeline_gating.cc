@@ -103,13 +103,13 @@ runPipelineGating(TraceSource &source, BranchPredictor &predictor,
 
             const bool predicted = predictor.predict(record.pc);
             const bool correct = (predicted == record.taken);
-            const std::uint64_t bucket = estimator.bucketOf(ctx);
+            const std::uint64_t bucket =
+                estimator.observe(ctx, correct, record.taken);
             const bool low = low_buckets[bucket];
 
             ++result.branches;
             if (!correct)
                 ++result.mispredicts;
-            estimator.update(ctx, correct, record.taken);
             predictor.update(record.pc, record.taken);
             bhr.recordOutcome(record.taken);
             gcir.shiftIn(!correct);

@@ -95,11 +95,11 @@ runSmtFetch(std::vector<SmtThreadSpec> &threads,
 
             const bool predicted = spec.predictor->predict(record.pc);
             const bool correct = (predicted == record.taken);
-            const std::uint64_t bucket = spec.estimator->bucketOf(ctx);
+            const std::uint64_t bucket =
+                spec.estimator->observe(ctx, correct, record.taken);
             const bool low = spec.lowBuckets[bucket];
 
             ++result.branches;
-            spec.estimator->update(ctx, correct, record.taken);
             spec.predictor->update(record.pc, record.taken);
             ts.bhr.recordOutcome(record.taken);
             ts.gcir.shiftIn(!correct);

@@ -65,12 +65,15 @@ class CirTable
      * @param index Table index.
      * @param correct true iff the prediction was correct; stored as a 0
      *        bit (the paper's convention: 1 = incorrect).
+     * @return the pattern read(index) gave before the shift.
      */
-    void
+    std::uint64_t
     update(std::uint64_t index, bool correct)
     {
         auto &entry = entries_[index & mask(indexBits_)];
-        entry = ((entry << 1) | (correct ? 0 : 1)) & mask(cirBits_);
+        const std::uint64_t before = entry;
+        entry = ((before << 1) | (correct ? 0 : 1)) & mask(cirBits_);
+        return before;
     }
 
     /** @return number of entries. */

@@ -46,7 +46,8 @@ class ConfidenceEstimator : public Serializable
 
     /**
      * Train with the resolved branch. Must be called exactly once per
-     * dynamic branch, after bucketOf(), with the same context.
+     * dynamic branch, after bucketOf(), with the same context (or
+     * replaced, together with that bucketOf(), by one observe()).
      *
      * Both the prediction's correctness and the branch outcome are
      * supplied — hardware has both at resolution time. CIR/counter
@@ -59,6 +60,25 @@ class ConfidenceEstimator : public Serializable
      */
     virtual void update(const BranchContext &ctx, bool correct,
                         bool taken) = 0;
+
+    /**
+     * Read the bucket and train in one call: the paper's
+     * read-modify-write of a CT entry (Section 1.2). The bucket
+     * returned is the one the estimator held *before* training, so a
+     * call counts as exactly one bucketOf(ctx) followed by one
+     * update(ctx, correct, taken) and leaves the same state behind.
+     * This default is that pair; the table families override it to
+     * form their index once and touch each entry once.
+     *
+     * @return bucketOf(ctx) as it read before this call.
+     */
+    virtual std::uint64_t
+    observe(const BranchContext &ctx, bool correct, bool taken)
+    {
+        const std::uint64_t bucket = bucketOf(ctx);
+        update(ctx, correct, taken);
+        return bucket;
+    }
 
     /** @return one past the largest bucket id this estimator produces. */
     virtual std::uint64_t numBuckets() const = 0;

@@ -48,22 +48,23 @@ OneLevelCirConfidence::readCir(const BranchContext &ctx) const
 std::uint64_t
 OneLevelCirConfidence::bucketOf(const BranchContext &ctx) const
 {
-    const std::uint64_t cir = readCir(ctx);
-    switch (reduction_) {
-      case CirReduction::RawPattern:
-        return cir;
-      case CirReduction::OnesCount:
-        return popcount(cir);
-    }
-    panic("unknown CirReduction");
+    return reduceCir(reduction_, readCir(ctx));
+}
+
+std::uint64_t
+OneLevelCirConfidence::observe(const BranchContext &ctx, bool correct,
+                               bool)
+{
+    const std::uint64_t index =
+        computeIndex(scheme_, ctx, table_.indexBits());
+    return reduceCir(reduction_, table_.update(index, correct));
 }
 
 void
 OneLevelCirConfidence::update(const BranchContext &ctx, bool correct,
-                              bool)
+                              bool taken)
 {
-    table_.update(computeIndex(scheme_, ctx, table_.indexBits()),
-                  correct);
+    OneLevelCirConfidence::observe(ctx, correct, taken);
 }
 
 std::uint64_t
@@ -135,11 +136,12 @@ OneLevelCounterConfidence::bucketOf(const BranchContext &ctx) const
     return counters_[computeIndex(scheme_, ctx, indexBits_)];
 }
 
-void
-OneLevelCounterConfidence::update(const BranchContext &ctx,
-                                  bool correct, bool)
+std::uint64_t
+OneLevelCounterConfidence::observe(const BranchContext &ctx,
+                                   bool correct, bool)
 {
     auto &counter = counters_[computeIndex(scheme_, ctx, indexBits_)];
+    const std::uint32_t before = counter;
     switch (kind_) {
       case CounterKind::Saturating:
         if (correct) {
@@ -167,6 +169,14 @@ OneLevelCounterConfidence::update(const BranchContext &ctx,
         }
         break;
     }
+    return before;
+}
+
+void
+OneLevelCounterConfidence::update(const BranchContext &ctx,
+                                  bool correct, bool taken)
+{
+    OneLevelCounterConfidence::observe(ctx, correct, taken);
 }
 
 std::uint64_t

@@ -23,6 +23,8 @@
 #include "confidence/cir_table.h"
 #include "confidence/confidence_estimator.h"
 #include "confidence/index_scheme.h"
+#include "util/bits.h"
+#include "util/status.h"
 
 namespace confsim {
 
@@ -35,6 +37,19 @@ enum class CirReduction
 
 /** @return "raw" or "ones". */
 const char *toString(CirReduction reduction);
+
+/** @return the bucket @p reduction maps the CIR @p cir to. */
+inline std::uint64_t
+reduceCir(CirReduction reduction, std::uint64_t cir)
+{
+    switch (reduction) {
+      case CirReduction::RawPattern:
+        return cir;
+      case CirReduction::OnesCount:
+        return popcount(cir);
+    }
+    panic("unknown CirReduction");
+}
 
 /** One-level confidence mechanism with full CIRs in the table. */
 class OneLevelCirConfidence : public ConfidenceEstimator
@@ -54,6 +69,8 @@ class OneLevelCirConfidence : public ConfidenceEstimator
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
     void update(const BranchContext &ctx, bool correct,
                 bool taken) override;
+    std::uint64_t observe(const BranchContext &ctx, bool correct,
+                          bool taken) override;
     std::uint64_t numBuckets() const override;
     std::uint64_t storageBits() const override;
     std::string name() const override;
@@ -114,6 +131,8 @@ class OneLevelCounterConfidence : public ConfidenceEstimator
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
     void update(const BranchContext &ctx, bool correct,
                 bool taken) override;
+    std::uint64_t observe(const BranchContext &ctx, bool correct,
+                          bool taken) override;
     std::uint64_t numBuckets() const override;
     std::uint64_t storageBits() const override;
     std::string name() const override;

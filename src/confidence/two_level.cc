@@ -41,10 +41,9 @@ TwoLevelConfidence::TwoLevelConfidence(IndexScheme first_scheme,
 }
 
 std::uint64_t
-TwoLevelConfidence::secondIndexOf(const BranchContext &ctx) const
+TwoLevelConfidence::secondIndexOf(const BranchContext &ctx,
+                                  std::uint64_t first_cir) const
 {
-    const std::uint64_t first_cir = firstTable_.read(
-        computeIndex(firstScheme_, ctx, firstTable_.indexBits()));
     const unsigned bits = secondTable_.indexBits();
     switch (secondIndex_) {
       case SecondLevelIndex::Cir:
@@ -65,26 +64,29 @@ TwoLevelConfidence::secondIndexOf(const BranchContext &ctx) const
 std::uint64_t
 TwoLevelConfidence::bucketOf(const BranchContext &ctx) const
 {
-    const std::uint64_t cir = secondTable_.read(secondIndexOf(ctx));
-    switch (reduction_) {
-      case CirReduction::RawPattern:
-        return cir;
-      case CirReduction::OnesCount:
-        return popcount(cir);
-    }
-    panic("unknown CirReduction");
+    const std::uint64_t first_cir = firstTable_.read(firstIndexOf(ctx));
+    return reduceCir(reduction_,
+                     secondTable_.read(secondIndexOf(ctx, first_cir)));
+}
+
+std::uint64_t
+TwoLevelConfidence::observe(const BranchContext &ctx, bool correct,
+                            bool)
+{
+    // The level-2 index comes from the PRE-update level-1 CIR (the
+    // value bucketOf() sees), which update() hands back.
+    const std::uint64_t first_cir =
+        firstTable_.update(firstIndexOf(ctx), correct);
+    return reduceCir(reduction_,
+                     secondTable_.update(secondIndexOf(ctx, first_cir),
+                                         correct));
 }
 
 void
 TwoLevelConfidence::update(const BranchContext &ctx, bool correct,
-                           bool)
+                           bool taken)
 {
-    // The level-2 index must be computed from the PRE-update level-1
-    // CIR (the same value bucketOf() saw), so update level 2 first.
-    secondTable_.update(secondIndexOf(ctx), correct);
-    firstTable_.update(
-        computeIndex(firstScheme_, ctx, firstTable_.indexBits()),
-        correct);
+    TwoLevelConfidence::observe(ctx, correct, taken);
 }
 
 std::uint64_t

@@ -64,6 +64,8 @@ class TwoLevelConfidence : public ConfidenceEstimator
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
     void update(const BranchContext &ctx, bool correct,
                 bool taken) override;
+    std::uint64_t observe(const BranchContext &ctx, bool correct,
+                          bool taken) override;
     std::uint64_t numBuckets() const override;
     std::uint64_t storageBits() const override;
     std::string name() const override;
@@ -74,7 +76,16 @@ class TwoLevelConfidence : public ConfidenceEstimator
     void loadState(StateReader &in) override;
 
   private:
-    std::uint64_t secondIndexOf(const BranchContext &ctx) const;
+    /** @return the level-1 index of @p ctx. */
+    std::uint64_t
+    firstIndexOf(const BranchContext &ctx) const
+    {
+        return computeIndex(firstScheme_, ctx, firstTable_.indexBits());
+    }
+
+    /** @return the level-2 index of @p ctx given its level-1 CIR. */
+    std::uint64_t secondIndexOf(const BranchContext &ctx,
+                                std::uint64_t first_cir) const;
 
     IndexScheme firstScheme_;
     CirTable firstTable_;

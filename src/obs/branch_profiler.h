@@ -13,7 +13,7 @@
  *
  * Wiring is **bit-exact-neutral** by construction: the profile only
  * *observes* values the simulation already computed (PC, mispredict
- * flag, the estimator bucket returned by `bucketOf` before `update`)
+ * flag, the estimator bucket `observe` read before training)
  * and never touches predictor or estimator state. The differential
  * harness (`tests/integration/branch_profile_test.cc`) pins that a
  * run with profiling on is bit-identical to one with it off, and
@@ -131,7 +131,7 @@ class BranchProfile
 
     /**
      * Observe estimator @p estimator's bucket for the current branch
-     * (the `bucketOf` value, read before `update`). Call once per
+     * (the bucket `observe` read before training). Call once per
      * estimator per retired conditional branch, then onBranch().
      */
     void onBucket(std::size_t estimator, std::uint64_t bucket,

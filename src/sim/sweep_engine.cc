@@ -306,8 +306,8 @@ struct ReplayState
 
     /**
      * Simulate one conditional branch in the paper's order (Section
-     * 1.2): every estimator's bucket is read with the context from
-     * before this branch, the estimators train on whether the
+     * 1.2): one observe() per estimator reads its bucket with the
+     * context from before this branch and trains it on whether the
      * prediction was correct, then the predictor and the BHR/GCIR
      * train on the outcome. A kSkip plan region fast-forwards: only
      * the branch cursor and the context-switch clock advance, and a
@@ -352,7 +352,8 @@ struct ReplayState
             }
         }
         for (std::size_t i = 0; i < estimators.size(); ++i) {
-            const std::uint64_t bucket = estimators[i]->bucketOf(ctx);
+            const std::uint64_t bucket =
+                estimators[i]->observe(ctx, correct, record.taken);
             if (recording) {
                 result.estimatorStats[i].record(bucket, !correct);
                 if (slot_bank != nullptr)
@@ -360,7 +361,6 @@ struct ReplayState
                 if (profile != nullptr)
                     profile->onBucket(i, bucket, correct);
             }
-            estimators[i]->update(ctx, correct, record.taken);
         }
         if (recording && options.profileStatic)
             result.staticProfile.record(record.pc, !correct, record.taken);

@@ -32,6 +32,16 @@ TEST(HybridSelectorTest, RequiresOrderedBuckets)
                  std::runtime_error);
 }
 
+TEST(HybridSelectorTest, RequiresTwoDistinctEstimators)
+{
+    BimodalPredictor p1(256);
+    GsharePredictor p2(256, 8);
+    OneLevelCounterConfidence shared = makeEstimator();
+    VectorTraceSource source({});
+    EXPECT_THROW(runHybridSelector(source, p1, shared, p2, shared),
+                 std::runtime_error);
+}
+
 TEST(HybridSelectorTest, CountsConstituentAndSelectedMisses)
 {
     // Alternating outcomes: bimodal flounders, gshare learns. The

@@ -54,6 +54,9 @@ referenceReplay(TraceSource &source, BranchPredictor &predictor,
         }
 
         // Confidence tables learn whether the prediction was right.
+        // The split bucketOf()/update() pair, not the engine's fused
+        // observe(), so the buckets the engine records are checked
+        // against each estimator's read-only bucketOf().
         for (std::size_t i = 0; i < estimators.size(); ++i) {
             const std::uint64_t bucket = estimators[i]->bucketOf(context);
             if (counted)
