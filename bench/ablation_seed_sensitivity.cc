@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "sim/driver.h"
 #include "sim/experiment.h"
 #include "util/csv.h"
 #include "util/running_stats.h"

@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "confidence/branch_classes.h"
+#include "sim/driver.h"
 #include "sim/experiment.h"
 
 using namespace confsim;

@@ -30,6 +30,7 @@ saveCounterTable(StateWriter &out,
                  const FixedVectorTable<SaturatingCounter> &table)
 {
     out.putU64(table.size());
+    out.reserve(4 * table.size());
     for (const auto &counter : table)
         out.putU32(counter.value());
 }

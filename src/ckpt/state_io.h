@@ -34,24 +34,9 @@ class StateWriter
 {
   public:
     void putU8(std::uint8_t v) { bytes_.push_back(v); }
-
-    void putU16(std::uint16_t v)
-    {
-        putU8(static_cast<std::uint8_t>(v));
-        putU8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void putU32(std::uint32_t v)
-    {
-        putU16(static_cast<std::uint16_t>(v));
-        putU16(static_cast<std::uint16_t>(v >> 16));
-    }
-
-    void putU64(std::uint64_t v)
-    {
-        putU32(static_cast<std::uint32_t>(v));
-        putU32(static_cast<std::uint32_t>(v >> 32));
-    }
+    void putU16(std::uint16_t v) { putLittleEndian<2>(v); }
+    void putU32(std::uint32_t v) { putLittleEndian<4>(v); }
+    void putU64(std::uint64_t v) { putLittleEndian<8>(v); }
 
     void putBool(bool v) { putU8(v ? 1 : 0); }
 
@@ -76,10 +61,23 @@ class StateWriter
         bytes_.insert(bytes_.end(), p, p + size);
     }
 
+    /** Make room for @p more bytes (once per bulk table, not per value). */
+    void reserve(std::size_t more) { bytes_.reserve(bytes_.size() + more); }
+
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }
     std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
   private:
+    /** Append the low @p N bytes of @p v, least significant first. */
+    template <std::size_t N>
+    void putLittleEndian(std::uint64_t v)
+    {
+        std::uint8_t buf[N];
+        for (std::size_t i = 0; i < N; ++i)
+            buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        bytes_.insert(bytes_.end(), buf, buf + N);
+    }
+
     std::vector<std::uint8_t> bytes_;
 };
 

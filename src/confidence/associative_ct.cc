@@ -175,6 +175,7 @@ void
 AssociativeCounterConfidence::saveState(StateWriter &out) const
 {
     out.putU64(entries_.size());
+    out.reserve(5 * entries_.size());
     for (const Entry &entry : entries_) {
         out.putU16(entry.tag);
         out.putU8(entry.counter);

@@ -63,6 +63,7 @@ CirTable::saveState(StateWriter &out) const
 {
     out.putU64(entries_.size());
     out.putU64(cirBits_);
+    out.reserve(8 * entries_.size());
     for (const std::uint64_t entry : entries_)
         out.putU64(entry);
 }

@@ -223,6 +223,7 @@ void
 OneLevelCounterConfidence::saveState(StateWriter &out) const
 {
     out.putU64(counters_.size());
+    out.reserve(4 * counters_.size());
     for (const std::uint32_t counter : counters_)
         out.putU32(counter);
 }

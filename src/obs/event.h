@@ -153,11 +153,17 @@ struct TelemetryEvent
     std::string
     toJson() const
     {
-        std::string out = "{\"type\":" + jsonString(type) +
-                          ",\"t_ms\":" + jsonNumber(tMs);
-        for (const auto &f : fields)
-            out += "," + jsonString(f.key) + ":" + f.jsonValue();
-        out += "}";
+        std::string out = "{\"type\":";
+        out += jsonString(type);
+        out += ",\"t_ms\":";
+        out += jsonNumber(tMs);
+        for (const auto &f : fields) {
+            out += ',';
+            out += jsonString(f.key);
+            out += ':';
+            out += f.jsonValue();
+        }
+        out += '}';
         return out;
     }
 };

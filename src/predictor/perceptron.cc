@@ -148,6 +148,7 @@ void
 PerceptronPredictor::saveState(StateWriter &out) const
 {
     out.putU64(weights_.size());
+    out.reserve(4 * weights_.size());
     for (const std::int32_t w : weights_)
         out.putU32(static_cast<std::uint32_t>(w));
     out.putU64(history_.value());

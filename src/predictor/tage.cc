@@ -401,6 +401,7 @@ TagePredictor::saveState(StateWriter &out) const
 {
     out.putU64(folds_.size());
     out.putU64(config_.taggedEntries);
+    out.reserve(4 * entries_.size());
     for (const TageEntry &entry : entries_) {
         out.putU16(entry.tag);
         out.putU8(entry.ctr);

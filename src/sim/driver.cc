@@ -1,7 +1,5 @@
 #include "sim/driver.h"
 
-#include "sim/sweep_engine.h"
-
 namespace confsim {
 
 namespace {
@@ -14,22 +12,6 @@ driverSweepOptions()
     sweep.threads = 1;
     sweep.decodeAhead = 1;
     return sweep;
-}
-
-DriverResult
-toDriverResult(SweepRunResult run)
-{
-    SweepConfigResult &config = run.perConfig.front();
-    DriverResult result;
-    result.branches = config.branches;
-    result.mispredicts = config.mispredicts;
-    result.estimatorStats = std::move(config.estimatorStats);
-    result.staticProfile = std::move(config.staticProfile);
-    result.branchProfile = std::move(config.branchProfile);
-    result.wallMs = run.wallMs;
-    result.contextSwitches = config.contextSwitches;
-    result.checkpointsWritten = run.checkpointsWritten;
-    return result;
 }
 
 } // namespace
@@ -55,13 +37,13 @@ SimulationDriver::checkpointEvery(std::uint64_t n_branches,
 DriverResult
 SimulationDriver::run(TraceSource &source)
 {
-    return toDriverResult(engine_->run(source));
+    return std::move(engine_->run(source).perConfig.front());
 }
 
 DriverResult
 SimulationDriver::resume(TraceSource &source, const Checkpoint &from)
 {
-    return toDriverResult(engine_->resume(source, from));
+    return std::move(engine_->resume(source, from).perConfig.front());
 }
 
 } // namespace confsim

@@ -73,19 +73,8 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
                   "completion markers)");
     cli.addFlag("resume",
                 "resume prior progress from --checkpoint-dir");
-    cli.addOption("predictor", "gshare-large",
-                  "predictor family: gshare-large, gshare-small, "
-                  "tage, perceptron");
     cli.addOption("sweep-threads", "0",
                   "sweep worker threads (0 = hardware concurrency)");
-    cli.addOption("batch-size", "4096",
-                  "records per sweep broadcast batch");
-    cli.addOption("decode-ahead", "3",
-                  "sweep decode-ahead ring depth (1 = synchronous "
-                  "refill)");
-    cli.addOption("bench-parallel", "0",
-                  "concurrent benchmark sweep passes (0 = auto-size "
-                  "to the worker pool)");
     cli.addOption("sample-rate", "0.1",
                   "sampled-replay region fraction in (0, 1]");
     cli.addOption("region-branches", "10000",
@@ -134,19 +123,8 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
     if (env.resume && env.checkpointDir.empty())
         fatal(ErrorCategory::kConfig,
               "--resume requires --checkpoint-dir");
-    env.predictor = cli.getString("predictor");
-    makeNamedPredictorFactory(env.predictor); // validate early
     env.sweepThreads =
         static_cast<unsigned>(cli.getUnsigned("sweep-threads"));
-    env.batchSize = cli.getUnsigned("batch-size");
-    if (env.batchSize == 0)
-        fatal(ErrorCategory::kConfig, "--batch-size must be at least 1");
-    env.decodeAhead = cli.getUnsigned("decode-ahead");
-    if (env.decodeAhead == 0)
-        fatal(ErrorCategory::kConfig,
-              "--decode-ahead must be at least 1");
-    env.benchParallel =
-        static_cast<unsigned>(cli.getUnsigned("bench-parallel"));
     env.sampleRate = cli.getDouble("sample-rate");
     env.regionBranches = cli.getUnsigned("region-branches");
     env.strata = static_cast<std::uint32_t>(cli.getUnsigned("strata"));
@@ -230,12 +208,6 @@ makeNamedPredictorFactory(const std::string &name)
     if (name == "perceptron")
         return perceptronFactory();
     fatal(ErrorCategory::kConfig, "unknown predictor name: " + name);
-}
-
-PredictorFactory
-ExperimentEnv::predictorFactory() const
-{
-    return makeNamedPredictorFactory(predictor);
 }
 
 EstimatorConfig
@@ -341,7 +313,6 @@ buildManifest(const ExperimentEnv &env, const BenchmarkSuite &suite,
         manifest.estimators.push_back(config.make()->name());
     manifest.bhrBits = options.bhrBits;
     manifest.gcirBits = options.gcirBits;
-    manifest.warmupBranches = options.warmupBranches;
     manifest.contextSwitchInterval = options.contextSwitchInterval;
     constexpr std::uint64_t kChecksumRecords = 4096;
     for (std::size_t i = 0; i < suite.size(); ++i) {
@@ -393,9 +364,6 @@ setUpSuite(const ExperimentEnv &env,
         setup.options.telemetry = telemetry;
     }
     setup.sweep.threads = env.sweepThreads;
-    setup.sweep.batchSize = env.batchSize;
-    setup.sweep.decodeAhead = env.decodeAhead;
-    setup.sweep.benchParallel = env.benchParallel;
     setup.policy.checkpoint.directory = env.checkpointDir;
     setup.policy.checkpoint.everyBranches = env.checkpointEvery;
     setup.policy.checkpoint.resume = env.resume;
@@ -422,10 +390,8 @@ runSuiteExperiment(const ExperimentEnv &env,
                    const PredictorFactory &make_predictor,
                    const std::vector<EstimatorConfig> &estimators)
 {
-    const SuiteSetup setup =
-        setUpSuite(env, {{"", make_predictor, estimators}}, true);
-    SweepSuiteResult swept = setup.runner.runSweep(
-        setup.configs, setup.options, SweepOptions{}, setup.policy);
+    SweepSuiteResult swept =
+        runSweepSuiteExperiment(env, {{"", make_predictor, estimators}});
     return std::move(swept.perConfig.front());
 }
 

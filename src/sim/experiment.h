@@ -73,22 +73,6 @@ struct ExperimentEnv
      */
     unsigned sweepThreads = 0;
 
-    /** Records per sweep broadcast batch (--batch-size). */
-    std::size_t batchSize = RecordBatch::kDefaultCapacity;
-
-    /**
-     * Sweep decode-ahead ring depth (--decode-ahead); 1 = refill
-     * synchronously between broadcasts, >= 2 = decode batches ahead
-     * on a producer thread. Never changes results.
-     */
-    std::size_t decodeAhead = SweepOptions::kDefaultDecodeAhead;
-
-    /**
-     * Concurrent benchmark sweep passes (--bench-parallel); 0 =
-     * auto-size to the worker pool. Never changes results.
-     */
-    unsigned benchParallel = 0;
-
     /**
      * Deterministic fault schedule (--fault-plan, or the
      * CONFSIM_FAULT_PLAN environment variable when the flag is not
@@ -110,13 +94,6 @@ struct ExperimentEnv
      * unlimited); see RunPolicy::deadlineMs.
      */
     std::uint64_t deadlineMs = 0;
-
-    /**
-     * Predictor family name (--predictor); one of
-     * knownPredictorNames(). Benches that honor it build their
-     * predictor with predictorFactory().
-     */
-    std::string predictor = "gshare-large";
 
     /** Sampled-replay region fraction (--sample-rate), in (0, 1]. */
     double sampleRate = 0.1;
@@ -161,9 +138,6 @@ struct ExperimentEnv
 
     /** @return the configured IBS suite (full or reduced). */
     BenchmarkSuite makeSuite() const;
-
-    /** @return makeNamedPredictorFactory(predictor). */
-    PredictorFactory predictorFactory() const;
 };
 
 /** A labelled estimator configuration. */
@@ -187,8 +161,8 @@ PredictorFactory perceptronFactory(
     PerceptronConfig config = PerceptronConfig::makeDefault());
 
 /**
- * The CLI predictor-name registry shared by --predictor and the sweep
- * server: "gshare-large", "gshare-small", "tage", "perceptron".
+ * The sweep server's predictor-name registry: "gshare-large",
+ * "gshare-small", "tage", "perceptron".
  */
 std::vector<std::string> knownPredictorNames();
 
@@ -245,8 +219,8 @@ perceptronMarginConfig(
     unsigned num_levels = 8);
 
 /**
- * Run the configurations over the environment's suite with static
- * profiling enabled.
+ * Run the estimators over the environment's suite with static
+ * profiling enabled: runSweepSuiteExperiment() with one configuration.
  */
 SuiteRunResult
 runSuiteExperiment(const ExperimentEnv &env,
@@ -267,8 +241,7 @@ struct SweepExperimentConfig
  * enabled and the same checkpoint/telemetry wiring as
  * runSuiteExperiment. Per-config results are bit-exact with running
  * runSuiteExperiment once per configuration; only the wall clock
- * differs. Sweep knobs come from env.sweepThreads / env.batchSize /
- * env.decodeAhead / env.benchParallel.
+ * differs. Worker threads come from env.sweepThreads.
  */
 SweepSuiteResult
 runSweepSuiteExperiment(const ExperimentEnv &env,
@@ -281,7 +254,7 @@ runSweepSuiteExperiment(const ExperimentEnv &env,
  * yielding misprediction-rate / coverage@20% / PVN estimates with
  * standard errors and 95% CIs. Sampling knobs come from env.sampleRate
  * / env.regionBranches / env.strata / env.subsamples / env.sampleSeed
- * / env.warmupRegions; replay tuning reuses the sweep knobs. Emits the
+ * / env.warmupRegions; worker threads from env.sweepThreads. Emits the
  * sampling_run_finished telemetry event when telemetry is attached.
  */
 SamplingRunResult

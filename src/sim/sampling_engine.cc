@@ -36,6 +36,9 @@ struct RegionFeatures
  *  both want "small enough to stream at memory speed"). */
 constexpr std::size_t kProxyEntries = 4096;
 
+/** Ranked-set candidate draws per pick. */
+constexpr std::size_t kRankSetSize = 3;
+
 /**
  * One streaming pass: segment into regions of @p region_branches
  * conditionals and score each with the proxy features. The pass is a
@@ -203,7 +206,7 @@ selectRegions(const std::vector<RegionFeatures> &regions,
         }
     }
 
-    // Ranked-set sampling per stratum: each pick draws rankSetSize
+    // Ranked-set sampling per stratum: each pick draws kRankSetSize
     // candidates, ranks them by the secondary feature (working-set
     // size), and keeps the candidate whose rank cycles across picks.
     Rng rng(seed);
@@ -211,8 +214,8 @@ selectRegions(const std::vector<RegionFeatures> &regions,
         auto &pool = pools[s];
         for (std::uint64_t i = 0; i < budget[s] && !pool.empty();
              ++i) {
-            const std::size_t m = std::min<std::size_t>(
-                options.rankSetSize, pool.size());
+            const std::size_t m =
+                std::min<std::size_t>(kRankSetSize, pool.size());
             std::vector<std::uint64_t> candidates;
             candidates.reserve(m);
             for (std::size_t c = 0; c < m; ++c) {
@@ -288,8 +291,6 @@ SamplingEngine::SamplingEngine(std::vector<SweepConfiguration> configs,
         fatal(ErrorCategory::kConfig, "--strata must be >= 1");
     if (options_.subsamples == 0)
         fatal(ErrorCategory::kConfig, "--subsamples must be >= 1");
-    if (options_.rankSetSize == 0)
-        fatal(ErrorCategory::kConfig, "rank-set size must be >= 1");
     if (options_.sweep.recordingPlan != nullptr) {
         fatal(ErrorCategory::kConfig,
               "the sampling engine owns the recording plan; "
@@ -513,10 +514,12 @@ SamplingEngine::runSuite(const SuiteRunner &runner)
                 composite.estimatorNames.size();
             composite.coverageSubsamples.resize(num_estimators);
             composite.pvnSubsamples.resize(num_estimators);
+            std::vector<double> coverage;
+            std::vector<double> pvn;
             for (std::size_t r = 0; r < r_min; ++r) {
                 double rate = 0.0;
-                std::vector<double> coverage(num_estimators, 0.0);
-                std::vector<double> pvn(num_estimators, 0.0);
+                coverage.assign(num_estimators, 0.0);
+                pvn.assign(num_estimators, 0.0);
                 std::size_t benches = 0;
                 for (const auto &bench : result.perBenchmark) {
                     if (bench.perConfig.empty())

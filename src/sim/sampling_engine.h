@@ -21,7 +21,7 @@
  *     the between-region variance the estimator must average over is
  *     within-stratum only.
  *  3. **Ranked-set sample**: within each stratum, each pick draws
- *     rankSetSize candidate regions, ranks them by working-set size,
+ *     three candidate regions, ranks them by working-set size,
  *     and keeps the candidate whose rank cycles across picks — RSS
  *     spreads picks across the secondary feature's range, beating
  *     plain random sampling at equal budget.
@@ -80,9 +80,6 @@ struct SamplingOptions
 
     /** Repeated-subsampling groups (>= 2 for usable error bars). */
     std::uint32_t subsamples = 5;
-
-    /** Ranked-set candidate draws per pick (1 = plain random). */
-    std::uint32_t rankSetSize = 3;
 
     /** Selection seed; same seed, same selections and estimates. */
     std::uint64_t seed = 0x5eed;

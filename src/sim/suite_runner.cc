@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <optional>
 #include <thread>
@@ -131,14 +130,13 @@ sleepBeforeRetry(const RunPolicy &policy, const SuiteContext &ctx,
 /**
  * How many benchmarks' passes run concurrently. 0 auto-sizes: enough
  * slots that `slots * shards_per_benchmark` covers the pool.
- * CONFSIM_BENCH_PARALLEL overrides, CONFSIM_SEQUENTIAL forces 1.
+ * CONFSIM_SEQUENTIAL forces 1.
  */
 unsigned
 resolveBenchParallel(unsigned requested, unsigned pool_workers,
                      std::size_t configs, std::size_t benchmarks)
 {
-    std::size_t slots =
-        resolveSweepKnob(requested, "CONFSIM_BENCH_PARALLEL");
+    std::size_t slots = sequentialForced() ? 1 : requested;
     if (slots == 0) {
         const std::size_t per_bench = std::max<std::size_t>(
             1, std::min<std::size_t>(pool_workers, configs));
@@ -643,12 +641,11 @@ struct SuitePass
 void
 computeComposites(SuiteRunResult &result, bool profile_static)
 {
-    // A benchmark that ran but recorded nothing (e.g. the warmup
-    // window covers the whole trace) has no rate or bucket mass to
-    // contribute; folding it in would average a meaningless 0.0 into
-    // the composite rate and trip EqualWeightComposite's zero-refs
-    // check. Exclude it from every composite and mark the result
-    // degraded-composite instead.
+    // A benchmark that ran but recorded nothing (e.g. an empty trace)
+    // has no rate or bucket mass to contribute; folding it in would
+    // average a meaningless 0.0 into the composite rate and trip
+    // EqualWeightComposite's zero-refs check. Exclude it from every
+    // composite and mark the result degraded-composite instead.
     double rate_sum = 0.0;
     std::vector<const BenchmarkRunResult *> recorded;
     for (const auto &bench_result : result.perBenchmark) {

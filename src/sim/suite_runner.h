@@ -23,8 +23,11 @@
 #include <string>
 #include <vector>
 
+#include "confidence/confidence_estimator.h"
 #include "metrics/bucket_stats.h"
-#include "sim/driver.h"
+#include "obs/branch_profiler.h"
+#include "predictor/branch_predictor.h"
+#include "sim/driver_options.h"
 #include "sim/run_policy.h"
 #include "trace/trace_source.h"
 #include "workload/suite.h"
@@ -120,10 +123,10 @@ struct SuiteRunResult
 
     /**
      * Benchmarks that ran successfully but recorded zero branches
-     * (e.g. the warmup window covered the whole trace). They are
-     * excluded from every composite — averaging their meaningless
-     * 0.0 rate or compositing their empty bucket mass would corrupt
-     * the result — and flagged via compositeDegraded instead.
+     * (e.g. an empty trace). They are excluded from every composite —
+     * averaging their meaningless 0.0 rate or compositing their empty
+     * bucket mass would corrupt the result — and flagged via
+     * compositeDegraded instead.
      */
     std::size_t zeroRecordBenchmarks = 0;
 

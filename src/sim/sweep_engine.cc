@@ -317,7 +317,7 @@ struct ReplayState
     void
     step(const BranchRecord &record, Registers &regs)
     {
-        bool recording = regs.simulated >= options.warmupBranches;
+        bool recording = true;
         SweepSlotStats *slot_bank = nullptr;
         if (plan != nullptr) {
             if (planLeft == 0) {
@@ -330,8 +330,7 @@ struct ReplayState
                 tick(regs);
                 return;
             }
-            recording = recording &&
-                        planSlot != SweepRecordingPlan::kWarmOnly;
+            recording = planSlot != SweepRecordingPlan::kWarmOnly;
             if (recording)
                 slot_bank = &result.slotStats[planSlot];
         }
@@ -375,8 +374,8 @@ struct ReplayState
 
     /**
      * Count one simulated branch and model a context switch every
-     * contextSwitchInterval branches (Section 5.4): the flushed
-     * structures and the BHR/GCIR restart from power-on. Accumulated
+     * contextSwitchInterval branches (Section 5.4): the predictor, the
+     * estimators, and the BHR/GCIR restart from power-on. Accumulated
      * statistics are never cleared.
      */
     void
@@ -386,12 +385,9 @@ struct ReplayState
         if (options.contextSwitchInterval == 0 || --regs.untilSwitch != 0)
             return;
         regs.untilSwitch = options.contextSwitchInterval;
-        if (options.flushPredictorOnSwitch)
-            predictor->reset();
-        if (options.flushEstimatorsOnSwitch) {
-            for (auto *estimator : estimators)
-                estimator->reset();
-        }
+        predictor->reset();
+        for (auto *estimator : estimators)
+            estimator->reset();
         regs.bhr.reset();
         regs.gcir.clear();
         ++result.contextSwitches;
@@ -839,31 +835,20 @@ class DecodeAheadRing
 
 } // namespace
 
+bool
+sequentialForced()
+{
+    return std::getenv("CONFSIM_SEQUENTIAL") != nullptr;
+}
+
 unsigned
 resolveSweepWorkers(unsigned requested)
 {
-    // CONFSIM_SEQUENTIAL forces single-threaded operation everywhere.
-    // Results are identical either way; it aids debugging under a
-    // debugger or sanitizer.
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
+    if (sequentialForced())
         return 1;
     const unsigned workers =
         requested != 0 ? requested : std::thread::hardware_concurrency();
     return std::max(1u, workers);
-}
-
-std::size_t
-resolveSweepKnob(std::size_t requested, const char *env_name)
-{
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        return 1;
-    if (const char *env = std::getenv(env_name)) {
-        char *end = nullptr;
-        const long value = std::strtol(env, &end, 10);
-        if (end != env && value >= 1)
-            return static_cast<std::size_t>(value);
-    }
-    return requested;
 }
 
 SweepEngine::SweepEngine(std::vector<SweepConfiguration> configs,
@@ -1072,15 +1057,10 @@ SweepEngine::runImpl(TraceSource &source,
             : std::max<std::size_t>(
                   1, std::min<std::size_t>(pool->workers(),
                                            states_.size()));
-    // The environment retunes only the default depth: an explicit
-    // request (the driver's synchronous 1) stands.
     std::size_t decode_ahead = sweep_.decodeAhead == 0
                                    ? SweepOptions::kDefaultDecodeAhead
                                    : sweep_.decodeAhead;
-    if (decode_ahead == SweepOptions::kDefaultDecodeAhead)
-        decode_ahead =
-            resolveSweepKnob(decode_ahead, "CONFSIM_DECODE_AHEAD");
-    else if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
+    if (sequentialForced())
         decode_ahead = 1;
 
     Telemetry *const telemetry = driver_.telemetry;

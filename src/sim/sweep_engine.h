@@ -58,7 +58,9 @@
 #include <thread>
 #include <vector>
 
-#include "sim/driver.h"
+#include "confidence/static_confidence.h"
+#include "metrics/bucket_stats.h"
+#include "sim/driver_options.h"
 #include "sim/suite_runner.h"
 #include "trace/record_batch.h"
 #include "util/running_stats.h"
@@ -228,9 +230,6 @@ struct SweepOptions
      * synchronously between broadcasts (the pre-pipelining engine);
      * 0 = default depth. Pure performance knob — results, checkpoint
      * cadence, and resume behaviour are bit-identical at any depth.
-     * CONFSIM_DECODE_AHEAD overrides the default depth (0 or
-     * kDefaultDecodeAhead) but not an explicit other one, so a
-     * SimulationDriver (depth 1) never starts a producer thread;
      * CONFSIM_SEQUENTIAL forces 1.
      */
     std::size_t decodeAhead = kDefaultDecodeAhead;
@@ -241,7 +240,7 @@ struct SweepOptions
      * (pool workers / shards per benchmark). 1 runs benchmarks
      * sequentially. Never changes results; per-benchmark error
      * isolation and suite-order merging are preserved.
-     * CONFSIM_BENCH_PARALLEL overrides, CONFSIM_SEQUENTIAL forces 1.
+     * CONFSIM_SEQUENTIAL forces 1.
      */
     unsigned benchParallel = 0;
 
@@ -289,8 +288,9 @@ struct SweepSlotStats
 };
 
 /**
- * Everything one configuration produced — the same quantities a
- * sequential DriverResult carries, per attached configuration.
+ * Everything one configuration of a replay produced. A
+ * SimulationDriver run returns its one configuration's result
+ * (DriverResult, sim/driver.h).
  */
 struct SweepConfigResult
 {
@@ -371,16 +371,18 @@ struct SweepRunResult
 };
 
 /**
- * @return worker threads for a SweepOptions::threads request: 0 = one
- * per hardware thread; CONFSIM_SEQUENTIAL forces 1.
+ * @return true when the CONFSIM_SEQUENTIAL environment variable is set,
+ * which forces every replay onto one thread: one worker, synchronous
+ * decode, one benchmark at a time. Results are identical either way;
+ * it aids debugging under a debugger or sanitizer.
  */
-unsigned resolveSweepWorkers(unsigned requested);
+bool sequentialForced();
 
 /**
- * @return @p requested, unless CONFSIM_SEQUENTIAL forces 1 or the
- * environment variable @p env_name holds an integer >= 1, which wins.
+ * @return worker threads for a SweepOptions::threads request: 0 = one
+ * per hardware thread; sequentialForced() forces 1.
  */
-std::size_t resolveSweepKnob(std::size_t requested, const char *env_name);
+unsigned resolveSweepWorkers(unsigned requested);
 
 /** Runs N configurations over a trace decoded exactly once. */
 class SweepEngine
@@ -392,8 +394,8 @@ class SweepEngine
     /**
      * @param configs Attached configurations (>= 1).
      * @param driver Simulation knobs shared by every configuration
-     *        (BHR/GCIR widths, warmup, context-switch modelling,
-     *        static profiling, telemetry).
+     *        (BHR/GCIR widths, context-switch modelling, static
+     *        profiling, telemetry).
      * @param sweep Thread/batch tuning knobs.
      */
     SweepEngine(std::vector<SweepConfiguration> configs,

@@ -170,32 +170,26 @@ TEST(EstimatorInvariants, BucketTotalsSumToRecordedBranches)
 {
     // Every prediction lands in exactly one bucket: the driver's
     // per-estimator totals must equal its recorded branch count,
-    // exactly, with and without a warmup exclusion window.
-    for (const std::uint64_t warmup : {std::uint64_t{0},
-                                       std::uint64_t{5'000}}) {
-        auto named = allEstimators();
-        std::vector<ConfidenceEstimator *> raw;
-        raw.reserve(named.size());
-        for (auto &entry : named)
-            raw.push_back(entry.estimator.get());
+    // exactly.
+    auto named = allEstimators();
+    std::vector<ConfidenceEstimator *> raw;
+    raw.reserve(named.size());
+    for (auto &entry : named)
+        raw.push_back(entry.estimator.get());
 
-        GsharePredictor predictor(4096, 12);
-        DriverOptions options;
-        options.warmupBranches = warmup;
-        SimulationDriver driver(predictor, raw, options);
-        const auto suite = BenchmarkSuite::ibsSmall(kBranches);
-        const auto source = suite.makeGenerator(1);
-        const DriverResult result = driver.run(*source);
+    GsharePredictor predictor(4096, 12);
+    SimulationDriver driver(predictor, raw);
+    const auto suite = BenchmarkSuite::ibsSmall(kBranches);
+    const auto source = suite.makeGenerator(1);
+    const DriverResult result = driver.run(*source);
 
-        ASSERT_GT(result.branches, 0u);
-        for (std::size_t e = 0; e < raw.size(); ++e) {
-            SCOPED_TRACE(named[e].label + " warmup=" +
-                         std::to_string(warmup));
-            EXPECT_EQ(result.estimatorStats[e].totalRefs(),
-                      static_cast<double>(result.branches));
-            EXPECT_EQ(result.estimatorStats[e].totalMispredicts(),
-                      static_cast<double>(result.mispredicts));
-        }
+    ASSERT_GT(result.branches, 0u);
+    for (std::size_t e = 0; e < raw.size(); ++e) {
+        SCOPED_TRACE(named[e].label);
+        EXPECT_EQ(result.estimatorStats[e].totalRefs(),
+                  static_cast<double>(result.branches));
+        EXPECT_EQ(result.estimatorStats[e].totalMispredicts(),
+                  static_cast<double>(result.mispredicts));
     }
 }
 

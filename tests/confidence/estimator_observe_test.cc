@@ -24,7 +24,7 @@
 #include "ckpt/state_io.h"
 #include "confidence/one_level.h"
 #include "confidence/two_level.h"
-#include "sim/family_registry.h"
+#include "support/family_registry.h"
 #include "util/bits.h"
 #include "util/rng.h"
 

@@ -121,12 +121,25 @@ TEST(BranchProfileIntegration, ProfilingIsBitExactNeutral)
 
 TEST(BranchProfileIntegration, WarmupGatesProfileLikeTheAggregates)
 {
+    // A recording plan that warms without recording on every other
+    // 5,000-branch region.
+    SweepRecordingPlan plan;
+    plan.regionBranches = 5'000;
+    plan.numSlots = 1;
+    for (std::uint64_t r = 0; r < kBranches / plan.regionBranches; ++r)
+        plan.regionSlots.push_back(r % 2 == 0 ? SweepRecordingPlan::kWarmOnly
+                                              : 0);
     DriverOptions options;
     options.profileBranches = true;
-    options.warmupBranches = 5'000;
-    const DriverResult result = runSequential(options);
-    ASSERT_GT(result.branches, 0u);
-    // Warmup branches are excluded from both sides identically.
+    SweepOptions sweep;
+    sweep.recordingPlan = &plan;
+    SweepEngine engine({{"cfg", testPredictor(), testEstimators()}},
+                       options, sweep);
+    auto source = BenchmarkSuite::ibsSmall(kBranches).makeGenerator(0);
+    const SweepConfigResult result =
+        std::move(engine.run(*source).perConfig.front());
+    EXPECT_EQ(result.branches, kBranches / 2);
+    // Warm-only branches are excluded from both sides identically.
     EXPECT_EQ(result.branchProfile.totalExecutions(), result.branches);
     EXPECT_EQ(result.branchProfile.totalMispredictions(),
               result.mispredicts);

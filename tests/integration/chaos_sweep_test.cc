@@ -61,12 +61,8 @@ testPredictor()
     return [] { return std::make_unique<GsharePredictor>(4096, 12); };
 }
 
-/** One estimator family: a label plus a single-estimator factory. */
-struct Family
-{
-    std::string label;
-    EstimatorSetFactory make;
-};
+/** One estimator family over the shared test predictor. */
+using Family = SweepConfiguration;
 
 /** Four cheap, structurally distinct families for chaos runs. */
 std::vector<Family>
@@ -79,40 +75,29 @@ chaosFamilies()
     };
     std::vector<Family> families;
     families.push_back(
-        {"one_level_raw_pc", [one] {
+        {"one_level_raw_pc", testPredictor(), [one] {
              return one(std::make_unique<OneLevelCirConfidence>(
                  IndexScheme::Pc, 1024, 8, CirReduction::RawPattern,
                  CtInit::Ones));
          }});
     families.push_back(
-        {"counter_saturating", [one] {
+        {"counter_saturating", testPredictor(), [one] {
              return one(std::make_unique<OneLevelCounterConfidence>(
                  IndexScheme::PcXorBhr, 1024,
                  CounterKind::Saturating, 16, 0));
          }});
     families.push_back(
-        {"counter_resetting", [one] {
+        {"counter_resetting", testPredictor(), [one] {
              return one(std::make_unique<OneLevelCounterConfidence>(
                  IndexScheme::PcXorBhr, 1024, CounterKind::Resetting,
                  16, 0));
          }});
     families.push_back(
-        {"self_counter", [one] {
+        {"self_counter", testPredictor(), [one] {
              return one(std::make_unique<SelfCounterConfidence>(
                  IndexScheme::Pc, 1024, 3));
          }});
     return families;
-}
-
-std::vector<SweepConfiguration>
-familyConfigs(const std::vector<Family> &families)
-{
-    std::vector<SweepConfiguration> configs;
-    configs.reserve(families.size());
-    for (const auto &family : families)
-        configs.push_back(
-            {family.label, testPredictor(), family.make});
-    return configs;
 }
 
 /** Fresh deterministic source: benchmark 0 of the reduced suite. */
@@ -127,8 +112,8 @@ DriverResult
 runSequential(const Family &family, DriverOptions options = {},
               std::uint64_t branches = kBranches)
 {
-    auto predictor = testPredictor()();
-    auto owned = family.make();
+    auto predictor = family.makePredictor();
+    auto owned = family.makeEstimators();
     std::vector<ConfidenceEstimator *> raw;
     raw.reserve(owned.size());
     for (auto &estimator : owned)
@@ -199,7 +184,7 @@ TEST(ChaosSweep, ShardFaultIsolatesSingleConfig)
     sweep.isolateConfigFailures = true;
 
     ScopedFaultPlan scoped("shard:cfg=1,batch=2:throw");
-    SweepEngine engine(familyConfigs(families), options, sweep);
+    SweepEngine engine(families, options, sweep);
     auto source = freshSource();
     const SweepRunResult result = engine.run(*source);
 
@@ -225,7 +210,7 @@ TEST(ChaosSweep, ShardFaultWithoutIsolationFailsRun)
     sweep.isolateConfigFailures = false;
 
     ScopedFaultPlan scoped("shard:cfg=0,batch=1:crash");
-    SweepEngine engine(familyConfigs(families), DriverOptions{},
+    SweepEngine engine(families, DriverOptions{},
                        sweep);
     auto source = freshSource();
     try {
@@ -253,7 +238,7 @@ TEST(ChaosSweep, CheckpointWriteFaultDegradesFreshnessNotResults)
 
     CheckpointStore store(dir.string(), "chaos", 8);
     ScopedFaultPlan scoped("ckpt:write=2:enospc");
-    SweepEngine engine(familyConfigs(families), options, sweep);
+    SweepEngine engine(families, options, sweep);
     engine.checkpointEvery(4'000, &store);
     auto source = freshSource();
     const SweepRunResult result = engine.run(*source);
@@ -276,7 +261,7 @@ TEST(ChaosSweep, CheckpointWriteFaultDegradesFreshnessNotResults)
     for (const std::uint64_t gen : store.generations()) {
         const auto ckpt = store.load(gen);
         ASSERT_TRUE(ckpt.has_value()) << "generation " << gen;
-        SweepEngine resumed_engine(familyConfigs(families),
+        SweepEngine resumed_engine(families,
                                    DriverOptions{}, sweep);
         auto resumed_source = freshSource();
         const SweepRunResult resumed =
@@ -305,7 +290,7 @@ TEST(ChaosSweep, DecodeFaultFailsPassButCheckpointsResume)
     CheckpointStore store(dir.string(), "chaos", 4);
     {
         ScopedFaultPlan scoped("decode:batch=8:throw");
-        SweepEngine engine(familyConfigs(families), DriverOptions{},
+        SweepEngine engine(families, DriverOptions{},
                            sweep);
         engine.checkpointEvery(200, &store);
         auto source = freshSource();
@@ -325,7 +310,7 @@ TEST(ChaosSweep, DecodeFaultFailsPassButCheckpointsResume)
     ASSERT_FALSE(store.generations().empty());
     const auto ckpt = store.loadLatestValid();
     ASSERT_TRUE(ckpt.has_value());
-    SweepEngine resumed_engine(familyConfigs(families),
+    SweepEngine resumed_engine(families,
                                DriverOptions{}, sweep);
     auto resumed_source = freshSource();
     const SweepRunResult resumed =
@@ -346,7 +331,7 @@ TEST(ChaosSweep, HangUnwindsViaWatchdog)
     sweep.threads = 1;
 
     ScopedFaultPlan scoped("shard:cfg=0,batch=2:hang");
-    SweepEngine engine(familyConfigs(families), options, sweep);
+    SweepEngine engine(families, options, sweep);
     auto source = freshSource();
     const auto start = std::chrono::steady_clock::now();
     try {
@@ -374,7 +359,7 @@ TEST(ChaosSweep, ExternalCancellationUnwindsSweep)
     sweep.threads = 2;
     sweep.decodeAhead = 3;
 
-    SweepEngine engine(familyConfigs(families), options, sweep);
+    SweepEngine engine(families, options, sweep);
     auto source = freshSource();
     try {
         engine.run(*source);
@@ -442,7 +427,7 @@ TEST(ChaosSweep, SeededChaosSchedulesSurvivorsBitExact)
         std::vector<FaultHit> hits;
         {
             ScopedFaultPlan scoped(spec);
-            SweepEngine engine(familyConfigs(families),
+            SweepEngine engine(families,
                                DriverOptions{}, sweep);
             engine.checkpointEvery(2'000, &store);
             auto source = freshSource();
@@ -504,7 +489,7 @@ TEST(ChaosSweep, SeededChaosSchedulesSurvivorsBitExact)
         if (!store.generations().empty()) {
             const auto ckpt = store.loadLatestValid();
             ASSERT_TRUE(ckpt.has_value());
-            SweepEngine resumed_engine(familyConfigs(families),
+            SweepEngine resumed_engine(families,
                                        DriverOptions{}, sweep);
             auto resumed_source = freshSource();
             const SweepRunResult resumed =
@@ -536,7 +521,7 @@ TEST(ChaosSuite, ContinueOnErrorDegradesOnlyFaultedConfig)
     SuiteRunner runner(BenchmarkSuite::ibsSmall(8'000));
 
     const SweepSuiteResult reference =
-        runner.runSweep(familyConfigs(families), DriverOptions{},
+        runner.runSweep(families, DriverOptions{},
                         serialSweep(), RunPolicy::continueOnError());
     ASSERT_FALSE(reference.degraded());
 
@@ -544,7 +529,7 @@ TEST(ChaosSuite, ContinueOnErrorDegradesOnlyFaultedConfig)
     // (suite order, benchParallel=1): config 1's first batch.
     ScopedFaultPlan scoped("shard:cfg=1,batch=1:throw");
     const SweepSuiteResult result =
-        runner.runSweep(familyConfigs(families), DriverOptions{},
+        runner.runSweep(families, DriverOptions{},
                         serialSweep(), RunPolicy::continueOnError());
 
     ASSERT_EQ(result.perConfig.size(), 2u);
@@ -604,7 +589,7 @@ TEST(ChaosSuite, FailFastSurfacesInjectedFault)
 
     ScopedFaultPlan scoped("shard:cfg=0,batch=1:crash");
     try {
-        runner.runSweep(familyConfigs(families), DriverOptions{},
+        runner.runSweep(families, DriverOptions{},
                         serialSweep(), RunPolicy::failFast());
         FAIL() << "expected fail-fast to throw on the injected crash";
     } catch (const Error &e) {
@@ -625,7 +610,7 @@ TEST(ChaosSuite, RetryRecoversOneShotTransientFault)
     options.telemetry = &telemetry;
 
     const SweepSuiteResult reference =
-        runner.runSweep(familyConfigs(families), DriverOptions{},
+        runner.runSweep(families, DriverOptions{},
                         serialSweep(), RunPolicy::continueOnError());
 
     // One-shot decode fault + one retry = a transient failure the
@@ -636,7 +621,7 @@ TEST(ChaosSuite, RetryRecoversOneShotTransientFault)
 
     ScopedFaultPlan scoped("decode:batch=1:throw");
     const SweepSuiteResult result = runner.runSweep(
-        familyConfigs(families), options, serialSweep(), policy);
+        families, options, serialSweep(), policy);
 
     EXPECT_EQ(telemetry.registry().counter("suite.retries"), 1u);
     EXPECT_FALSE(result.degraded());
@@ -670,7 +655,7 @@ TEST(ChaosSuite, WatchdogTimeoutIsNeverRetried)
     policy.maxAttempts = 3;
 
     const SweepSuiteResult result = runner.runSweep(
-        familyConfigs(families), options, serialSweep(), policy);
+        families, options, serialSweep(), policy);
 
     const auto &benches = result.perConfig[0].perBenchmark;
     ASSERT_EQ(benches.size(), 3u);
@@ -694,7 +679,7 @@ TEST(ChaosSuite, DeadlineCancelsRemainingBenchmarks)
 
     const auto start = std::chrono::steady_clock::now();
     const SweepSuiteResult result = runner.runSweep(
-        familyConfigs(families), DriverOptions{}, serialSweep(),
+        families, DriverOptions{}, serialSweep(),
         policy);
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -728,7 +713,7 @@ TEST(ChaosSuite, PreCancelledTokenMarksEverythingCancelled)
     RunPolicy tolerant = RunPolicy::continueOnError();
     tolerant.cancel = &token;
     const SweepSuiteResult result = runner.runSweep(
-        familyConfigs(families), DriverOptions{}, serialSweep(),
+        families, DriverOptions{}, serialSweep(),
         tolerant);
     for (const BenchmarkRunResult &bench :
          result.perConfig[0].perBenchmark) {
@@ -743,7 +728,7 @@ TEST(ChaosSuite, PreCancelledTokenMarksEverythingCancelled)
     RunPolicy strict = RunPolicy::failFast();
     strict.cancel = &token;
     try {
-        runner.runSweep(familyConfigs(families), DriverOptions{},
+        runner.runSweep(families, DriverOptions{},
                         serialSweep(), strict);
         FAIL() << "expected the pre-cancelled run to throw";
     } catch (const Error &e) {

@@ -183,8 +183,7 @@ TEST(NativePairing, MatchingPairsReplayLikeTheUnpairedReference)
         {"perceptron_margin", smallPerceptron(), perceptronMargin()}};
     for (const Native &native : natives) {
         SCOPED_TRACE(native.label);
-        DriverOptions options;
-        options.warmupBranches = 1'000;
+        const DriverOptions options;
 
         // The reference drives an unpaired estimator: its own private
         // predictor, trained inside update().

@@ -11,8 +11,8 @@
  * reference shares no code with the engine's record loop, so these
  * tests compare two implementations, not one loop copied twice.
  * Every (predictor, estimator) family in the shared registry
- * (sim/family_registry.h) is covered, so a family added there can
- * never silently skip this wall. Thread count, batch size, and
+ * (tests/support/family_registry.h) is covered, so a family added
+ * there can never silently skip this wall. Thread count, batch size, and
  * decode-ahead depth are varied to prove they never leak into
  * results, and checkpoints are round-tripped to prove resume is
  * bit-exact too.
@@ -31,9 +31,9 @@
 #include "confidence/one_level.h"
 #include "metrics/bucket_stats.h"
 #include "metrics/confidence_curve.h"
-#include "sim/family_registry.h"
 #include "sim/suite_runner.h"
 #include "sim/sweep_engine.h"
+#include "support/family_registry.h"
 #include "support/reference_replay.h"
 #include "workload/suite.h"
 
@@ -42,7 +42,7 @@ namespace {
 
 constexpr std::uint64_t kBranches = 60'000;
 
-using Family = DifferentialFamily;
+using Family = SweepConfiguration;
 
 /** Every (predictor, estimator) family in the shared registry. */
 std::vector<Family>
@@ -154,18 +154,6 @@ expectIdentical(const ReferenceResult &sequential,
     }
 }
 
-/** Build a sweep configuration per family. */
-std::vector<SweepConfiguration>
-familyConfigs(const std::vector<Family> &families)
-{
-    std::vector<SweepConfiguration> configs;
-    configs.reserve(families.size());
-    for (const auto &family : families)
-        configs.push_back({family.label, family.makePredictor,
-                           family.makeEstimators});
-    return configs;
-}
-
 TEST(SweepDifferential, AllFamiliesBitExactSingleThread)
 {
     const std::vector<Family> families = allFamilies();
@@ -174,7 +162,7 @@ TEST(SweepDifferential, AllFamiliesBitExactSingleThread)
 
     SweepOptions sweep;
     sweep.threads = 1;
-    SweepEngine engine(familyConfigs(families), options, sweep);
+    SweepEngine engine(families, options, sweep);
     auto source = freshSource();
     const SweepRunResult result = engine.run(*source);
 
@@ -196,7 +184,7 @@ TEST(SweepDifferential, AllFamiliesBitExactMultiThread)
     SweepOptions sweep;
     sweep.threads = 4;
     sweep.batchSize = 1000; // not a divisor of the trace length
-    SweepEngine engine(familyConfigs(families), options, sweep);
+    SweepEngine engine(families, options, sweep);
     auto source = freshSource();
     const SweepRunResult result = engine.run(*source);
 
@@ -222,7 +210,7 @@ TEST(SweepDifferential, BatchSizeNeverChangesResults)
         SweepOptions sweep;
         sweep.threads = 2;
         sweep.batchSize = batch_size;
-        SweepEngine engine(familyConfigs({family, family}), options,
+        SweepEngine engine({family, family}, options,
                            sweep);
         auto source = freshSource();
         const SweepRunResult result = engine.run(*source);
@@ -250,28 +238,14 @@ TEST(SweepDifferential, WarmupAndContextSwitchCombosBitExact)
             16, 0));
         return out;
     };
-    struct Combo
-    {
-        std::uint64_t warmup;
-        std::uint64_t interval;
-        bool flushPredictor;
-        bool flushEstimators;
-    };
-    const Combo combos[] = {
-        {0, 0, true, true},       {1000, 0, true, true},
-        {0, 777, true, true},     {500, 500, true, true},
-        {2000, 700, false, true}, {100, 1, true, false},
-    };
+    const std::uint64_t intervals[] = {0, 777, 500, 700, 1};
     const Family families[] = {
         differentialFamilyNamed("counter_saturating"), gcir_family};
     for (const Family &family : families) {
-        for (const Combo &combo : combos) {
+        for (const std::uint64_t interval : intervals) {
             DriverOptions options;
             options.profileStatic = true;
-            options.warmupBranches = combo.warmup;
-            options.contextSwitchInterval = combo.interval;
-            options.flushPredictorOnSwitch = combo.flushPredictor;
-            options.flushEstimatorsOnSwitch = combo.flushEstimators;
+            options.contextSwitchInterval = interval;
 
             const SequentialRun reference =
                 runSequential(family, options, 20'000);
@@ -279,15 +253,14 @@ TEST(SweepDifferential, WarmupAndContextSwitchCombosBitExact)
             SweepOptions sweep;
             sweep.threads = 2;
             sweep.batchSize = 333;
-            SweepEngine engine(familyConfigs({family, family}), options,
+            SweepEngine engine({family, family}, options,
                                sweep);
             auto source = freshSource(20'000);
             const SweepRunResult result = engine.run(*source);
             for (std::size_t c = 0; c < 2; ++c) {
                 expectIdentical(
                     reference.result, result.perConfig[c],
-                    family.label + " warmup=" + std::to_string(combo.warmup) +
-                        " interval=" + std::to_string(combo.interval) +
+                    family.label + " interval=" + std::to_string(interval) +
                         " config " + std::to_string(c));
             }
         }
@@ -358,7 +331,7 @@ TEST(SweepDifferential, CheckpointResumeIsBitExact)
 
     // Checkpointed sweep: write generations mid-run...
     CheckpointStore store(dir.string(), "sweep-test", 2);
-    SweepEngine first_engine(familyConfigs(families), options, sweep);
+    SweepEngine first_engine(families, options, sweep);
     first_engine.checkpointEvery(20'000, &store);
     auto first_source = freshSource();
     const SweepRunResult first = first_engine.run(*first_source);
@@ -368,7 +341,7 @@ TEST(SweepDifferential, CheckpointResumeIsBitExact)
     // and compare against uninterrupted reference replays.
     const auto ckpt = store.loadLatestValid();
     ASSERT_TRUE(ckpt.has_value());
-    SweepEngine resumed_engine(familyConfigs(families), options,
+    SweepEngine resumed_engine(families, options,
                                sweep);
     auto resumed_source = freshSource();
     const SweepRunResult resumed =
@@ -396,7 +369,7 @@ TEST(SweepDifferential, DecodeAheadDepthNeverChangesResults)
         sweep.threads = 2;
         sweep.batchSize = 777; // not a divisor of the trace length
         sweep.decodeAhead = depth;
-        SweepEngine engine(familyConfigs({family, family}), options,
+        SweepEngine engine({family, family}, options,
                            sweep);
         auto source = freshSource();
         const SweepRunResult result = engine.run(*source);
@@ -429,7 +402,7 @@ TEST(SweepDifferential, SharedPoolWithSurplusWorkersBitExact)
 
     // Two engines sharing one pool back to back, as runSweep does.
     for (int pass = 0; pass < 2; ++pass) {
-        SweepEngine engine(familyConfigs(families), options, sweep);
+        SweepEngine engine(families, options, sweep);
         auto source = freshSource();
         const SweepRunResult result = engine.run(*source);
         ASSERT_EQ(result.perConfig.size(), families.size());
@@ -467,7 +440,7 @@ TEST(SweepDifferential, CheckpointResumeWithDecodeAheadBitExact)
     sync_sweep.threads = 2;
     sync_sweep.decodeAhead = 1;
     CheckpointStore sync_store(dir.string(), "sweep-sync", 4);
-    SweepEngine sync_ckpt_engine(familyConfigs(families), options,
+    SweepEngine sync_ckpt_engine(families, options,
                                  sync_sweep);
     sync_ckpt_engine.checkpointEvery(20'000, &sync_store);
     auto sync_ckpt_source = freshSource();
@@ -478,7 +451,7 @@ TEST(SweepDifferential, CheckpointResumeWithDecodeAheadBitExact)
     ring_sweep.threads = 2;
     ring_sweep.decodeAhead = 3;
     CheckpointStore store(dir.string(), "sweep-ring", 4);
-    SweepEngine first_engine(familyConfigs(families), options,
+    SweepEngine first_engine(families, options,
                              ring_sweep);
     first_engine.checkpointEvery(20'000, &store);
     auto first_source = freshSource();
@@ -491,7 +464,7 @@ TEST(SweepDifferential, CheckpointResumeWithDecodeAheadBitExact)
     SweepOptions resume_sweep;
     resume_sweep.threads = 2;
     resume_sweep.decodeAhead = 2; // differs from the writing engine
-    SweepEngine resumed_engine(familyConfigs(families), options,
+    SweepEngine resumed_engine(families, options,
                                resume_sweep);
     auto resumed_source = freshSource();
     const SweepRunResult resumed =
@@ -638,7 +611,7 @@ TEST(SweepDifferential, BenchParallelScheduleNeverChangesResults)
         SCOPED_TRACE("sequential");
         expectSuiteMatchesReference(
             suite, families, options,
-            runner.runSweep(familyConfigs(families), options,
+            runner.runSweep(families, options,
                             sequential, RunPolicy{}));
     }
 
@@ -650,7 +623,7 @@ TEST(SweepDifferential, BenchParallelScheduleNeverChangesResults)
         SCOPED_TRACE("bench-parallel " + std::to_string(slots));
         expectSuiteMatchesReference(
             suite, families, options,
-            runner.runSweep(familyConfigs(families), options,
+            runner.runSweep(families, options,
                             pipelined, RunPolicy{}));
     }
 }
@@ -666,7 +639,7 @@ TEST(SweepDifferential, SweepWallTimeIsSharedEquallyAcrossConfigs)
         differentialFamilyNamed("self_counter")};
     SuiteRunner runner(BenchmarkSuite::ibsSmall(10'000));
     const SweepSuiteResult swept = runner.runSweep(
-        familyConfigs(families), DriverOptions{}, SweepOptions{},
+        families, DriverOptions{}, SweepOptions{},
         RunPolicy{});
     ASSERT_EQ(swept.perConfig.size(), families.size());
     const std::size_t benches = swept.perConfig[0].perBenchmark.size();
@@ -702,7 +675,7 @@ TEST(SweepDifferential, SuiteRunnerSweepMatchesSequentialRun)
         SCOPED_TRACE("runSweep");
         expectSuiteMatchesReference(
             suite, families, options,
-            runner.runSweep(familyConfigs(families), options, sweep,
+            runner.runSweep(families, options, sweep,
                             RunPolicy{}));
     }
     for (const Family &family : families) {

@@ -2,7 +2,6 @@
 
 #include "sim/driver.h"
 
-#include <cstdlib>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -135,37 +134,6 @@ TEST(DriverTest, MultipleEstimatorsRunIndependently)
     EXPECT_DOUBLE_EQ(result.estimatorStats[1].totalRefs(), 50.0);
 }
 
-
-TEST(DriverTest, WarmupExcludesEarlyBranchesFromStats)
-{
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    DriverOptions options;
-    options.warmupBranches = 3;
-    // 5 branches: first 3 (T, N, T) are warmup; recorded: N, N.
-    VectorTraceSource source(
-        repeated(0x1000, {true, false, true, false, false}));
-    SimulationDriver driver(pred, {}, options);
-    const auto result = driver.run(source);
-    EXPECT_EQ(result.branches, 2u);
-    EXPECT_EQ(result.mispredicts, 2u);
-}
-
-TEST(DriverTest, WarmupStillTrainsStructures)
-{
-    // The predictor must have learned during warmup: a bimodal
-    // predictor sees 10 not-taken warmup branches, so the recorded
-    // region is predicted correctly from its first branch.
-    BimodalPredictor pred(256);
-    DriverOptions options;
-    options.warmupBranches = 10;
-    VectorTraceSource source(
-        repeated(0x1000, std::vector<bool>(20, false)));
-    SimulationDriver driver(pred, {}, options);
-    const auto result = driver.run(source);
-    EXPECT_EQ(result.branches, 10u);
-    EXPECT_EQ(result.mispredicts, 0u);
-}
-
 TEST(DriverTest, ContextSwitchFlushesPredictor)
 {
     // A bimodal predictor fully trained to not-taken would predict the
@@ -198,7 +166,6 @@ TEST(DriverTest, ContextSwitchFlushesEstimators)
                                   CounterKind::Resetting, 16, 0);
     DriverOptions options;
     options.contextSwitchInterval = 8;
-    options.flushPredictorOnSwitch = false;
     VectorTraceSource source(
         repeated(0x1000, std::vector<bool>(32, true)));
     SimulationDriver driver(pred, {&est}, options);
@@ -209,23 +176,6 @@ TEST(DriverTest, ContextSwitchFlushesEstimators)
     for (std::uint64_t b = 8; b <= 16; ++b)
         EXPECT_DOUBLE_EQ(stats[b].refs, 0.0) << b;
     EXPECT_DOUBLE_EQ(stats[0].refs, 4.0); // one per window
-}
-
-TEST(DriverTest, SelectiveFlushLeavesEstimatorsAlone)
-{
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 16, 0);
-    DriverOptions options;
-    options.contextSwitchInterval = 8;
-    options.flushEstimatorsOnSwitch = false;
-    VectorTraceSource source(
-        repeated(0x1000, std::vector<bool>(32, true)));
-    SimulationDriver driver(pred, {&est}, options);
-    const auto result = driver.run(source);
-    // Without estimator flushes the counter keeps climbing past 8.
-    const BucketStats &stats = result.estimatorStats[0];
-    EXPECT_GT(stats[10].refs, 0.0);
 }
 
 /** Records whether next() was ever called off the constructing thread. */
@@ -251,16 +201,14 @@ class ThreadCheckingSource : public VectorTraceSource
 
 TEST(DriverTest, DecodeAheadEnvironmentNeverThreadsTheDriver)
 {
-    // CONFSIM_DECODE_AHEAD retunes only the default pipelined depth; a
-    // driver run stays synchronous and reads the caller's source on
-    // the caller's thread.
-    ::setenv("CONFSIM_DECODE_AHEAD", "3", 1);
+    // A driver run stays synchronous: no environment variable sets the
+    // decode-ahead depth, and it reads the caller's source on the
+    // caller's thread.
     StaticPredictor pred(StaticPolicy::AlwaysTaken);
     ThreadCheckingSource source(
         repeated(0x1000, std::vector<bool>(20'000, true)));
     SimulationDriver driver(pred, {});
     const auto result = driver.run(source);
-    ::unsetenv("CONFSIM_DECODE_AHEAD");
     EXPECT_EQ(result.branches, 20'000u);
     EXPECT_FALSE(source.offThread());
 }

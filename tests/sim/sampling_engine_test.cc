@@ -198,9 +198,6 @@ TEST(SamplingEngineTest, InvalidOptionsAreFatal)
     bad = SamplingOptions{};
     bad.subsamples = 0;
     EXPECT_THROW(build(bad), std::runtime_error);
-    bad = SamplingOptions{};
-    bad.rankSetSize = 0;
-    EXPECT_THROW(build(bad), std::runtime_error);
     SweepRecordingPlan plan;
     bad = SamplingOptions{};
     bad.sweep.recordingPlan = &plan;

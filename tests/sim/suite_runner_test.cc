@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "sim/driver.h"
 #include "sim/sweep_engine.h"
 
 #include <gtest/gtest.h>
@@ -112,50 +113,19 @@ TEST(SuiteRunnerTest, CompositeStatsGiveEqualMassPerBenchmark)
     EXPECT_NEAR(composite.totalRefs(), 2e6, 1.0);
 }
 
-/** Truncates the wrapped source after a fixed number of records. */
-class TruncatingSource : public TraceSource
-{
-  public:
-    TruncatingSource(std::unique_ptr<TraceSource> inner,
-                     std::uint64_t limit)
-        : inner_(std::move(inner)), limit_(limit)
-    {
-    }
-
-    bool
-    next(BranchRecord &record) override
-    {
-        if (produced_ >= limit_ || !inner_->next(record))
-            return false;
-        ++produced_;
-        return true;
-    }
-
-    void
-    reset() override
-    {
-        inner_->reset();
-        produced_ = 0;
-    }
-
-  private:
-    std::unique_ptr<TraceSource> inner_;
-    std::uint64_t limit_ = 0;
-    std::uint64_t produced_ = 0;
-};
-
-/** Truncate benchmark 0 below the warmup window: it completes without
- * error but records zero branches. */
+/**
+ * Replace benchmark 0's trace, or every benchmark's when @p all is set,
+ * with an empty one: the benchmark completes without error but records
+ * zero branches.
+ */
 SourceWrapper
-truncateFirstBenchmark(std::uint64_t limit)
+emptyTraces(bool all)
 {
-    return [limit](std::size_t bench,
-                   std::unique_ptr<TraceSource> inner)
+    return [all](std::size_t bench, std::unique_ptr<TraceSource> inner)
                -> std::unique_ptr<TraceSource> {
-        if (bench == 0) {
-            return std::make_unique<TruncatingSource>(std::move(inner),
-                                                      limit);
-        }
+        if (all || bench == 0)
+            return std::make_unique<VectorTraceSource>(
+                std::vector<BranchRecord>{});
         return inner;
     };
 }
@@ -164,11 +134,8 @@ TEST(SuiteRunnerTest, ZeroRecordBenchmarkExcludedFromComposites)
 {
     SuiteRunner runner(
         BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 5000));
-    runner.setSourceWrapper(truncateFirstBenchmark(500));
-    DriverOptions options;
-    options.warmupBranches = 1000;
-    const auto result =
-        runner.run(smallPredictor(), smallEstimators(), options);
+    runner.setSourceWrapper(emptyTraces(false));
+    const auto result = runner.run(smallPredictor(), smallEstimators());
 
     ASSERT_EQ(result.perBenchmark.size(), 2u);
     EXPECT_TRUE(result.perBenchmark[0].error.empty());
@@ -192,10 +159,8 @@ TEST(SuiteRunnerTest, AllZeroRecordBenchmarksGiveZeroComposite)
 {
     SuiteRunner runner(
         BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 2000));
-    DriverOptions options;
-    options.warmupBranches = 10000; // warmup covers the whole trace
-    const auto result =
-        runner.run(smallPredictor(), smallEstimators(), options);
+    runner.setSourceWrapper(emptyTraces(true));
+    const auto result = runner.run(smallPredictor(), smallEstimators());
 
     for (const auto &bench : result.perBenchmark) {
         EXPECT_TRUE(bench.error.empty()) << bench.name;
@@ -213,16 +178,14 @@ TEST(SuiteRunnerTest, SweepZeroRecordBenchmarkExcludedFromComposites)
 {
     SuiteRunner runner(
         BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 5000));
-    runner.setSourceWrapper(truncateFirstBenchmark(500));
-    DriverOptions options;
-    options.warmupBranches = 1000;
+    runner.setSourceWrapper(emptyTraces(false));
     std::vector<SweepConfiguration> configs;
     configs.push_back(
         {"a", smallPredictor(), smallEstimators()});
     configs.push_back(
         {"b", smallPredictor(), smallEstimators()});
     const auto sweep =
-        runner.runSweep(configs, options, SweepOptions{});
+        runner.runSweep(configs, DriverOptions{}, SweepOptions{});
 
     ASSERT_EQ(sweep.perConfig.size(), 2u);
     for (const auto &config_result : sweep.perConfig) {

@@ -1,30 +1,30 @@
 /**
  * @file
- * Regression tests pinning how `warmupBranches` exclusion and
- * `contextSwitchInterval` flushes compose in the driver.
+ * Regression tests pinning how a recording plan's warm-only window
+ * and `contextSwitchInterval` flushes compose in the replay engine.
  *
- * The documented order (sim/driver.h):
+ * The documented order (sim/driver_options.h, sim/sweep_engine.h):
  *
- *  - The warmup window is an exclusion on STATISTICS only: branches
- *    [0, warmupBranches) train every structure but are not counted in
+ *  - A kWarmOnly region is an exclusion on STATISTICS only: its
+ *    branches train every structure but are not counted in
  *    branches/mispredicts/bucket stats/static profile.
  *  - The context-switch interval counts EVERY simulated conditional
- *    branch, warmup included — the OS does not pause the scheduler
- *    while a predictor warms up.
+ *    branch, warm-only ones included — the OS does not pause the
+ *    scheduler while a predictor warms up.
  *  - A switch fires AFTER the triggering branch has fully trained
- *    (predictor, estimators, BHR, GCIR), flushes per the flags, and
+ *    (predictor, estimators, BHR, GCIR), flushes all of them, and
  *    never clears accumulated statistics.
  *
  * Each test replays the same trace through a hand-rolled reference
- * loop that encodes exactly this order, then asserts the driver
- * matches bit-for-bit across W<S, W=S, W>S, and S=1 compositions. A
- * discrepancy here means the driver's loop order drifted from the
+ * loop that encodes exactly this order, then asserts the engine
+ * matches bit-for-bit across W<S, W=S, W>S, and S=1 compositions,
+ * where W is the warm-only window and S the switch interval. A
+ * discrepancy here means the engine's loop order drifted from the
  * documentation.
  *
  * A native estimator paired with its predictor has no state of its
- * own, so it is flushed with the predictor: under the split flush
- * flags its buckets must match a hand loop that reads the live
- * predictor, whatever flushEstimatorsOnSwitch says.
+ * own, so it restarts with the predictor: its buckets must match a
+ * hand loop that reads the live predictor.
  */
 
 #include <cstdint>
@@ -38,7 +38,7 @@
 #include "predictor/gshare.h"
 #include "predictor/tage.h"
 #include "predictor/history_register.h"
-#include "sim/driver.h"
+#include "sim/sweep_engine.h"
 #include "util/shift_register.h"
 #include "workload/suite.h"
 
@@ -47,10 +47,46 @@ namespace {
 
 constexpr std::uint64_t kBranches = 12'000;
 
+/** Warm-only windows are whole regions of this many branches. */
+constexpr std::uint64_t kRegionBranches = 500;
+
 std::unique_ptr<TraceSource>
 freshSource()
 {
     return BenchmarkSuite::ibsSmall(kBranches).makeGenerator(0);
+}
+
+/**
+ * A plan that trains without recording on the first @p warm branches
+ * (a multiple of kRegionBranches) and records every branch after them.
+ */
+SweepRecordingPlan
+warmThenRecord(std::uint64_t warm)
+{
+    SweepRecordingPlan plan;
+    plan.regionBranches = kRegionBranches;
+    plan.numSlots = 1;
+    plan.regionSlots.assign(kBranches / kRegionBranches + 1, 0);
+    for (std::uint64_t r = 0; r < warm / kRegionBranches; ++r)
+        plan.regionSlots[r] = SweepRecordingPlan::kWarmOnly;
+    return plan;
+}
+
+/**
+ * Replay @p source through @p predictor and @p estimator in a
+ * one-configuration engine that warms without recording on the first
+ * @p warm branches.
+ */
+SweepConfigResult
+engineRun(TraceSource &source, BranchPredictor &predictor,
+          ConfidenceEstimator &estimator, const DriverOptions &options,
+          std::uint64_t warm)
+{
+    const SweepRecordingPlan plan = warmThenRecord(warm);
+    SweepOptions sweep;
+    sweep.recordingPlan = &plan;
+    SweepEngine engine(predictor, {&estimator}, options, sweep);
+    return std::move(engine.run(source).perConfig.front());
 }
 
 struct ReferenceResult
@@ -66,7 +102,8 @@ struct ReferenceResult
 
 /** The documented composition order, spelled out independently. */
 ReferenceResult
-referenceRun(TraceSource &source, const DriverOptions &options)
+referenceRun(TraceSource &source, const DriverOptions &options,
+             std::uint64_t warm)
 {
     GsharePredictor predictor(4096, 12);
     OneLevelCounterConfidence estimator(IndexScheme::PcXorBhr, 1024,
@@ -92,9 +129,9 @@ referenceRun(TraceSource &source, const DriverOptions &options)
         const bool correct =
             predictor.predict(record.pc) == record.taken;
 
-        // Warmup is a statistics exclusion only: the window is the
-        // first warmupBranches SIMULATED branches, [0, W).
-        const bool recording = simulated >= options.warmupBranches;
+        // The warm-only window is a statistics exclusion only: it is
+        // the first W SIMULATED branches, [0, W).
+        const bool recording = simulated >= warm;
         if (recording) {
             ++result.branches;
             if (!correct)
@@ -103,7 +140,7 @@ referenceRun(TraceSource &source, const DriverOptions &options)
             result.profile.record(record.pc, !correct, record.taken);
         } else {
             // Not recorded — but the estimator still reads its bucket
-            // (the driver queries unconditionally) and still trains.
+            // (the engine queries unconditionally) and still trains.
             estimator.bucketOf(ctx);
         }
         estimator.update(ctx, correct, record.taken);
@@ -112,15 +149,13 @@ referenceRun(TraceSource &source, const DriverOptions &options)
         gcir.shiftIn(!correct);
         ++simulated;
 
-        // The switch clock ticks on every simulated branch — warmup
-        // included — and fires after the branch finished training.
+        // The switch clock ticks on every simulated branch — warm-only
+        // ones included — and fires after the branch finished training.
         if (options.contextSwitchInterval != 0 &&
             ++since_switch == options.contextSwitchInterval) {
             since_switch = 0;
-            if (options.flushPredictorOnSwitch)
-                predictor.reset();
-            if (options.flushEstimatorsOnSwitch)
-                estimator.reset();
+            predictor.reset();
+            estimator.reset();
             bhr.reset();
             gcir.clear();
             ++result.contextSwitches;
@@ -129,26 +164,27 @@ referenceRun(TraceSource &source, const DriverOptions &options)
     return result;
 }
 
-DriverResult
-driverRun(TraceSource &source, const DriverOptions &options)
+SweepConfigResult
+gshareRun(TraceSource &source, const DriverOptions &options,
+          std::uint64_t warm)
 {
     GsharePredictor predictor(4096, 12);
     OneLevelCounterConfidence estimator(IndexScheme::PcXorBhr, 1024,
                                         CounterKind::Resetting, 16, 0);
-    SimulationDriver driver(predictor, {&estimator}, options);
-    return driver.run(source);
+    return engineRun(source, predictor, estimator, options, warm);
 }
 
 void
-expectSameAsReference(const DriverOptions &options,
+expectSameAsReference(const DriverOptions &options, std::uint64_t warm,
                       const std::string &context)
 {
     SCOPED_TRACE(context);
     auto reference_source = freshSource();
     const ReferenceResult expected =
-        referenceRun(*reference_source, options);
-    auto driver_source = freshSource();
-    const DriverResult actual = driverRun(*driver_source, options);
+        referenceRun(*reference_source, options, warm);
+    auto engine_source = freshSource();
+    const SweepConfigResult actual =
+        gshareRun(*engine_source, options, warm);
 
     EXPECT_EQ(expected.branches, actual.branches);
     EXPECT_EQ(expected.mispredicts, actual.mispredicts);
@@ -193,60 +229,39 @@ TEST(WarmupContextSwitch, ComposeInDocumentedOrder)
     for (const Combo &combo : combos) {
         DriverOptions options;
         options.profileStatic = true;
-        options.warmupBranches = combo.warmup;
         options.contextSwitchInterval = combo.interval;
-        expectSameAsReference(options, combo.label);
-    }
-}
-
-TEST(WarmupContextSwitch, FlushFlagsComposeWithWarmup)
-{
-    const bool flags[][2] = {
-        {true, true}, {true, false}, {false, true}, {false, false}};
-    for (const auto &flag : flags) {
-        DriverOptions options;
-        options.warmupBranches = 2'000;
-        options.contextSwitchInterval = 900;
-        options.flushPredictorOnSwitch = flag[0];
-        options.flushEstimatorsOnSwitch = flag[1];
-        expectSameAsReference(
-            options, std::string("flushPredictor=") +
-                         (flag[0] ? "1" : "0") + " flushEstimators=" +
-                         (flag[1] ? "1" : "0"));
+        expectSameAsReference(options, combo.warmup, combo.label);
     }
 }
 
 TEST(WarmupContextSwitch, SwitchClockTicksThroughWarmup)
 {
-    // With W > S the first switches happen INSIDE the warmup window:
-    // the interval counts warmup branches too. floor(N / S) switches
-    // total, independent of W.
+    // With W > S the first switches happen INSIDE the warm-only
+    // window: the interval counts its branches too. floor(N / S)
+    // switches total, independent of W.
+    constexpr std::uint64_t kWarm = 6'000;
     DriverOptions options;
-    options.warmupBranches = 6'000;
     options.contextSwitchInterval = 1'000;
     auto source = freshSource();
-    const DriverResult result = driverRun(*source, options);
+    const SweepConfigResult result = gshareRun(*source, options, kWarm);
 
-    const std::uint64_t simulated =
-        result.branches + options.warmupBranches;
+    const std::uint64_t simulated = result.branches + kWarm;
     EXPECT_EQ(result.contextSwitches,
               simulated / options.contextSwitchInterval);
-    // And warmup excluded exactly W branches from the counters.
+    // And the window excluded exactly W branches from the counters.
     auto full_source = freshSource();
-    DriverOptions no_warmup = options;
-    no_warmup.warmupBranches = 0;
-    const DriverResult full = driverRun(*full_source, no_warmup);
-    EXPECT_EQ(full.branches,
-              result.branches + options.warmupBranches);
+    const SweepConfigResult full = gshareRun(*full_source, options, 0);
+    EXPECT_EQ(full.branches, result.branches + kWarm);
     EXPECT_EQ(full.contextSwitches, result.contextSwitches);
 }
 
 /**
  * TAGE with its provider confidence, bucket read straight from the
- * live predictor: only flushPredictorOnSwitch can touch what it reads.
+ * live predictor: only the predictor's flush touches what it reads.
  */
 ReferenceResult
-nativeReferenceRun(TraceSource &source, const DriverOptions &options)
+nativeReferenceRun(TraceSource &source, const DriverOptions &options,
+                   std::uint64_t warm)
 {
     TagePredictor predictor(TageConfig::makeSmall());
     ReferenceResult result(2 * predictor.strengthLevels());
@@ -258,7 +273,7 @@ nativeReferenceRun(TraceSource &source, const DriverOptions &options)
             continue;
         const TagePrediction detail = predictor.predictDetail(record.pc);
         const bool correct = detail.taken == record.taken;
-        if (simulated >= options.warmupBranches) {
+        if (simulated >= warm) {
             ++result.branches;
             if (!correct)
                 ++result.mispredicts;
@@ -271,8 +286,7 @@ nativeReferenceRun(TraceSource &source, const DriverOptions &options)
         if (options.contextSwitchInterval != 0 &&
             ++since_switch == options.contextSwitchInterval) {
             since_switch = 0;
-            if (options.flushPredictorOnSwitch)
-                predictor.reset();
+            predictor.reset();
             ++result.contextSwitches;
         }
     }
@@ -281,42 +295,33 @@ nativeReferenceRun(TraceSource &source, const DriverOptions &options)
 
 TEST(WarmupContextSwitch, PairedNativeEstimatorFlushesWithItsPredictor)
 {
-    const bool flags[][2] = {
-        {true, true}, {true, false}, {false, true}, {false, false}};
-    for (const auto &flag : flags) {
-        SCOPED_TRACE(std::string("flushPredictor=") + (flag[0] ? "1" : "0") +
-                     " flushEstimators=" + (flag[1] ? "1" : "0"));
-        DriverOptions options;
-        options.warmupBranches = 2'000;
-        options.contextSwitchInterval = 900;
-        options.flushPredictorOnSwitch = flag[0];
-        options.flushEstimatorsOnSwitch = flag[1];
+    constexpr std::uint64_t kWarm = 2'000;
+    DriverOptions options;
+    options.contextSwitchInterval = 900;
 
-        auto reference_source = freshSource();
-        const ReferenceResult expected =
-            nativeReferenceRun(*reference_source, options);
+    auto reference_source = freshSource();
+    const ReferenceResult expected =
+        nativeReferenceRun(*reference_source, options, kWarm);
 
-        TagePredictor predictor(TageConfig::makeSmall());
-        TageProviderConfidence estimator(TageConfig::makeSmall());
-        SimulationDriver driver(predictor, {&estimator}, options);
-        auto driver_source = freshSource();
-        const DriverResult actual = driver.run(*driver_source);
-        EXPECT_TRUE(estimator.paired());
+    TagePredictor predictor(TageConfig::makeSmall());
+    TageProviderConfidence estimator(TageConfig::makeSmall());
+    auto engine_source = freshSource();
+    const SweepConfigResult actual =
+        engineRun(*engine_source, predictor, estimator, options, kWarm);
+    EXPECT_TRUE(estimator.paired());
 
-        EXPECT_EQ(expected.branches, actual.branches);
-        EXPECT_EQ(expected.mispredicts, actual.mispredicts);
-        EXPECT_EQ(expected.contextSwitches, actual.contextSwitches);
-        ASSERT_EQ(actual.estimatorStats.size(), 1u);
-        ASSERT_EQ(expected.stats.numBuckets(),
-                  actual.estimatorStats[0].numBuckets());
-        for (std::uint64_t b = 0; b < expected.stats.numBuckets(); ++b) {
-            EXPECT_EQ(expected.stats[b].refs,
-                      actual.estimatorStats[0][b].refs)
-                << "bucket " << b;
-            EXPECT_EQ(expected.stats[b].mispredicts,
-                      actual.estimatorStats[0][b].mispredicts)
-                << "bucket " << b;
-        }
+    EXPECT_EQ(expected.branches, actual.branches);
+    EXPECT_EQ(expected.mispredicts, actual.mispredicts);
+    EXPECT_EQ(expected.contextSwitches, actual.contextSwitches);
+    ASSERT_EQ(actual.estimatorStats.size(), 1u);
+    ASSERT_EQ(expected.stats.numBuckets(),
+              actual.estimatorStats[0].numBuckets());
+    for (std::uint64_t b = 0; b < expected.stats.numBuckets(); ++b) {
+        EXPECT_EQ(expected.stats[b].refs, actual.estimatorStats[0][b].refs)
+            << "bucket " << b;
+        EXPECT_EQ(expected.stats[b].mispredicts,
+                  actual.estimatorStats[0][b].mispredicts)
+            << "bucket " << b;
     }
 }
 

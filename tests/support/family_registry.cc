@@ -1,4 +1,4 @@
-#include "sim/family_registry.h"
+#include "support/family_registry.h"
 
 #include "confidence/associative_ct.h"
 #include "confidence/composite_confidence.h"
@@ -53,10 +53,10 @@ referenceEstimator()
 
 } // namespace
 
-std::vector<DifferentialFamily>
+std::vector<SweepConfiguration>
 estimatorFamilyRegistry()
 {
-    std::vector<DifferentialFamily> families;
+    std::vector<SweepConfiguration> families;
     families.push_back(
         {"one_level_raw_pc", referenceGshare(), one([] {
              return std::make_unique<OneLevelCirConfidence>(
@@ -144,10 +144,10 @@ estimatorFamilyRegistry()
     return families;
 }
 
-std::vector<DifferentialFamily>
+std::vector<SweepConfiguration>
 predictorFamilyRegistry()
 {
-    std::vector<DifferentialFamily> families;
+    std::vector<SweepConfiguration> families;
     const auto add = [&families](std::string label,
                                  PredictorFactory make) {
         families.push_back({std::move(label), std::move(make),
@@ -184,11 +184,11 @@ predictorFamilyRegistry()
     return families;
 }
 
-std::vector<DifferentialFamily>
+std::vector<SweepConfiguration>
 differentialFamilyRegistry()
 {
-    std::vector<DifferentialFamily> families = estimatorFamilyRegistry();
-    std::vector<DifferentialFamily> predictors =
+    std::vector<SweepConfiguration> families = estimatorFamilyRegistry();
+    std::vector<SweepConfiguration> predictors =
         predictorFamilyRegistry();
     families.insert(families.end(),
                     std::make_move_iterator(predictors.begin()),
@@ -196,7 +196,7 @@ differentialFamilyRegistry()
     return families;
 }
 
-DifferentialFamily
+SweepConfiguration
 differentialFamilyNamed(const std::string &label)
 {
     for (auto &family : differentialFamilyRegistry())

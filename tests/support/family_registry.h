@@ -17,49 +17,42 @@
  * paper-scale accuracy numbers (sim/experiment.h owns those).
  */
 
-#ifndef CONFSIM_SIM_FAMILY_REGISTRY_H
-#define CONFSIM_SIM_FAMILY_REGISTRY_H
+#ifndef CONFSIM_TESTS_SUPPORT_FAMILY_REGISTRY_H
+#define CONFSIM_TESTS_SUPPORT_FAMILY_REGISTRY_H
 
 #include <string>
 #include <vector>
 
-#include "sim/suite_runner.h"
+#include "sim/sweep_engine.h"
 
 namespace confsim {
 
-/** One registered configuration: label + paired factories. */
-struct DifferentialFamily
-{
-    std::string label;
-    PredictorFactory makePredictor;
-    EstimatorSetFactory makeEstimators;
-};
-
 /**
- * Every estimator family in src/confidence/, each over the reference
+ * Every estimator family in src/confidence/ as a sweep configuration
+ * labelled with the family's name, each over the reference
  * small-gshare predictor. Native-confidence estimators (TAGE
  * provider, perceptron margin) read their predictor's internal state,
  * so they ride a predictor of their own family and geometry instead.
  */
-std::vector<DifferentialFamily> estimatorFamilyRegistry();
+std::vector<SweepConfiguration> estimatorFamilyRegistry();
 
 /**
  * Every predictor family in src/predictor/, each under a fixed
  * resetting-counter estimator (the paper's workhorse), so predictor
  * state machines face the same differential wall estimators do.
  */
-std::vector<DifferentialFamily> predictorFamilyRegistry();
+std::vector<SweepConfiguration> predictorFamilyRegistry();
 
 /** The union of both registries (labels are unique across them). */
-std::vector<DifferentialFamily> differentialFamilyRegistry();
+std::vector<SweepConfiguration> differentialFamilyRegistry();
 
 /**
  * Look up a family by label in the combined registry.
  * Fatals (Error{kConfig}) on an unknown label so tests that pick
  * specific families fail loudly when one is renamed.
  */
-DifferentialFamily differentialFamilyNamed(const std::string &label);
+SweepConfiguration differentialFamilyNamed(const std::string &label);
 
 } // namespace confsim
 
-#endif // CONFSIM_SIM_FAMILY_REGISTRY_H
+#endif // CONFSIM_TESTS_SUPPORT_FAMILY_REGISTRY_H

@@ -27,7 +27,6 @@ referenceReplay(TraceSource &source, BranchPredictor &predictor,
     const std::uint64_t gcir_mask = lowBits(options.gcirBits);
     std::uint64_t bhr = 0;  // newest outcome in bit 0
     std::uint64_t gcir = 0; // newest "was incorrect" in bit 0
-    std::uint64_t seen = 0; // conditionals simulated so far
 
     BranchRecord record;
     while (source.next(record)) {
@@ -43,15 +42,11 @@ referenceReplay(TraceSource &source, BranchPredictor &predictor,
         context.gcirBits = options.gcirBits;
 
         const bool correct = predictor.predict(record.pc) == record.taken;
-        const bool counted = seen >= options.warmupBranches;
-        if (counted) {
-            result.branches += 1;
-            if (!correct)
-                result.mispredicts += 1;
-            if (options.profileStatic)
-                result.staticProfile.record(record.pc, !correct,
-                                            record.taken);
-        }
+        result.branches += 1;
+        if (!correct)
+            result.mispredicts += 1;
+        if (options.profileStatic)
+            result.staticProfile.record(record.pc, !correct, record.taken);
 
         // Confidence tables learn whether the prediction was right.
         // The split bucketOf()/update() pair, not the engine's fused
@@ -59,8 +54,7 @@ referenceReplay(TraceSource &source, BranchPredictor &predictor,
         // against each estimator's read-only bucketOf().
         for (std::size_t i = 0; i < estimators.size(); ++i) {
             const std::uint64_t bucket = estimators[i]->bucketOf(context);
-            if (counted)
-                result.estimatorStats[i].record(bucket, !correct);
+            result.estimatorStats[i].record(bucket, !correct);
             estimators[i]->update(context, correct, record.taken);
         }
 
@@ -68,18 +62,14 @@ referenceReplay(TraceSource &source, BranchPredictor &predictor,
         predictor.update(record.pc, record.taken);
         bhr = ((bhr << 1) | (record.taken ? 1 : 0)) & bhr_mask;
         gcir = ((gcir << 1) | (correct ? 0 : 1)) & gcir_mask;
-        seen += 1;
 
         // Section 5.4: every interval branches the process is switched
-        // out, and the flushed structures restart from power-on.
+        // out, and every structure restarts from power-on.
         const std::uint64_t interval = options.contextSwitchInterval;
-        if (interval != 0 && seen % interval == 0) {
-            if (options.flushPredictorOnSwitch)
-                predictor.reset();
-            if (options.flushEstimatorsOnSwitch) {
-                for (ConfidenceEstimator *estimator : estimators)
-                    estimator->reset();
-            }
+        if (interval != 0 && result.branches % interval == 0) {
+            predictor.reset();
+            for (ConfidenceEstimator *estimator : estimators)
+                estimator->reset();
             bhr = 0;
             gcir = 0;
             result.contextSwitches += 1;

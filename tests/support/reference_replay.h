@@ -25,7 +25,7 @@
 #include "confidence/static_confidence.h"
 #include "metrics/bucket_stats.h"
 #include "predictor/branch_predictor.h"
-#include "sim/driver.h"
+#include "sim/driver_options.h"
 #include "trace/trace_source.h"
 
 namespace confsim {
@@ -33,8 +33,8 @@ namespace confsim {
 /** Everything one reference replay counted. */
 struct ReferenceResult
 {
-    std::uint64_t branches = 0;        //!< recorded conditionals
-    std::uint64_t mispredicts = 0;     //!< recorded predictor misses
+    std::uint64_t branches = 0;        //!< conditionals replayed
+    std::uint64_t mispredicts = 0;     //!< predictor misses
     std::uint64_t contextSwitches = 0; //!< modelled flushes
     std::vector<BucketStats> estimatorStats; //!< per estimator
     StaticBranchProfile staticProfile; //!< when profileStatic is set
@@ -43,8 +43,8 @@ struct ReferenceResult
 /**
  * Replay @p source to exhaustion through @p predictor and
  * @p estimators. Honours the simulation-semantics fields of
- * @p options: BHR/GCIR widths, warmup, context-switch interval and
- * flush flags, and static profiling. Every other field is ignored.
+ * @p options: BHR/GCIR widths, context-switch interval, and static
+ * profiling. Every other field is ignored.
  */
 ReferenceResult
 referenceReplay(TraceSource &source, BranchPredictor &predictor,
