@@ -61,8 +61,8 @@ EVENT_REQUIRED_FIELDS = {
         "decode_ahead", "resumed",
     ],
     "sweep_run_finished": [
-        "benchmark", "configs", "threads", "records", "branches",
-        "batches", "wall_ms", "decode_stall_ms",
+        "benchmark", "configs", "threads", "predictor_runs", "records",
+        "branches", "batches", "wall_ms", "decode_stall_ms",
         "ns_per_branch_update", "checkpoints_written",
     ],
     "sweep_config_finished": [
@@ -164,6 +164,14 @@ def validate_event(path, lineno, obj):
             fail(path, lineno,
                  f"sweep_run_finished 'shard_busy_frac' must be a "
                  f"number in [0, 1], got {busy!r}")
+        runs = obj.get("predictor_runs")
+        configs = obj.get("configs")
+        if not isinstance(runs, int) or not (
+                isinstance(configs, int) and 1 <= runs <= configs):
+            fail(path, lineno,
+                 f"sweep_run_finished 'predictor_runs' must be an "
+                 f"integer in [1, configs], got {runs!r} "
+                 f"(configs {configs!r})")
         wait = obj.get("barrier_wait_ms")
         if wait is not None and (
                 not isinstance(wait, (int, float)) or wait < 0):

@@ -103,24 +103,15 @@ class StateReader
 
     std::uint16_t getU16()
     {
-        const std::uint16_t lo = getU8();
-        const std::uint16_t hi = getU8();
-        return static_cast<std::uint16_t>(lo | (hi << 8));
+        return static_cast<std::uint16_t>(getLittleEndian<2>());
     }
 
     std::uint32_t getU32()
     {
-        const std::uint32_t lo = getU16();
-        const std::uint32_t hi = getU16();
-        return lo | (hi << 16);
+        return static_cast<std::uint32_t>(getLittleEndian<4>());
     }
 
-    std::uint64_t getU64()
-    {
-        const std::uint64_t lo = getU32();
-        const std::uint64_t hi = getU32();
-        return lo | (hi << 32);
-    }
+    std::uint64_t getU64() { return getLittleEndian<8>(); }
 
     bool getBool() { return getU8() != 0; }
 
@@ -179,6 +170,18 @@ class StateReader
     bool atEnd() const { return pos_ == size_; }
 
   private:
+    /** Read @p N bytes, least significant first, checking bounds once. */
+    template <std::size_t N>
+    std::uint64_t getLittleEndian()
+    {
+        need(N);
+        std::uint64_t v = 0;
+        for (std::size_t i = 0; i < N; ++i)
+            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+        pos_ += N;
+        return v;
+    }
+
     void need(std::size_t n) const
     {
         if (size_ - pos_ < n)

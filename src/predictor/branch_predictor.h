@@ -58,6 +58,21 @@ class BranchPredictor : public Serializable
 
     /** Restore the initial (power-on) state. */
     virtual void reset() = 0;
+
+    /**
+     * @return true iff @p other was built with the same configuration:
+     * fed the same branches from the same state, both predict and train
+     * identically. The sweep engine steps such predictors once for all
+     * the configurations that ride them (sim/sweep_engine.h), so a
+     * family answers true only after comparing every constructor
+     * parameter. The default is false: an unaudited family never
+     * shares its predictor.
+     */
+    virtual bool
+    sameDesignAs(const BranchPredictor & /*other*/) const
+    {
+        return false;
+    }
 };
 
 } // namespace confsim

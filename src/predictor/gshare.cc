@@ -88,6 +88,16 @@ GsharePredictor::reset()
     history_.reset();
 }
 
+bool
+GsharePredictor::sameDesignAs(const BranchPredictor &other) const
+{
+    const auto *same = dynamic_cast<const GsharePredictor *>(&other);
+    return same != nullptr &&
+           same->table_.size() == table_.size() &&
+           same->history_.width() == history_.width() &&
+           same->counterBits_ == counterBits_;
+}
+
 
 void
 GsharePredictor::saveState(StateWriter &out) const

@@ -144,6 +144,14 @@ PerceptronPredictor::reset()
     marginValid_ = false;
 }
 
+bool
+PerceptronPredictor::sameDesignAs(const BranchPredictor &other) const
+{
+    const auto *same = dynamic_cast<const PerceptronPredictor *>(&other);
+    return same != nullptr &&
+           same->config_ == config_;
+}
+
 void
 PerceptronPredictor::saveState(StateWriter &out) const
 {

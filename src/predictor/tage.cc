@@ -396,6 +396,14 @@ TagePredictor::reset()
     syncDerived();
 }
 
+bool
+TagePredictor::sameDesignAs(const BranchPredictor &other) const
+{
+    const auto *same = dynamic_cast<const TagePredictor *>(&other);
+    return same != nullptr &&
+           same->config_ == config_;
+}
+
 void
 TagePredictor::saveState(StateWriter &out) const
 {

@@ -131,6 +131,7 @@ class TagePredictor : public BranchPredictor
     std::uint64_t storageBits() const override;
     std::string name() const override;
     void reset() override;
+    bool sameDesignAs(const BranchPredictor &other) const override;
 
     bool checkpointable() const override { return true; }
     void saveState(StateWriter &out) const override;

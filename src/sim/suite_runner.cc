@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <thread>
@@ -129,17 +130,27 @@ sleepBeforeRetry(const RunPolicy &policy, const SuiteContext &ctx,
 
 /**
  * How many benchmarks' passes run concurrently. 0 auto-sizes: enough
- * slots that `slots * shards_per_benchmark` covers the pool.
+ * slots that `slots * shards_per_benchmark` covers the pool, where a
+ * benchmark's pass has one shard per fused trunk (predictorRunsOf).
  * CONFSIM_SEQUENTIAL forces 1.
  */
 unsigned
 resolveBenchParallel(unsigned requested, unsigned pool_workers,
-                     std::size_t configs, std::size_t benchmarks)
+                     const std::vector<SweepConfiguration> &configs,
+                     std::size_t benchmarks)
 {
     std::size_t slots = sequentialForced() ? 1 : requested;
     if (slots == 0) {
+        std::size_t trunks = configs.size();
+        try {
+            if (trunks > 1)
+                trunks = predictorRunsOf(configs);
+        } catch (const std::exception &) {
+            // A failing factory fails again in each benchmark's own
+            // attempt, where the run policy decides what it costs.
+        }
         const std::size_t per_bench = std::max<std::size_t>(
-            1, std::min<std::size_t>(pool_workers, configs));
+            1, std::min<std::size_t>(pool_workers, trunks));
         slots = pool_workers / per_bench;
     }
     return static_cast<unsigned>(std::max<std::size_t>(
@@ -694,11 +705,12 @@ computeComposites(SuiteRunResult &result, bool profile_static)
 SuiteRunResult
 SuiteRunner::run(const PredictorFactory &make_predictor,
                  const EstimatorSetFactory &make_estimators,
-                 DriverOptions options, RunPolicy policy) const
+                 DriverOptions options, RunPolicy policy,
+                 const SweepOptions &sweep) const
 {
     SweepSuiteResult swept =
         runSweep({SweepConfiguration{"", make_predictor, make_estimators}},
-                 std::move(options), SweepOptions{}, std::move(policy));
+                 std::move(options), sweep, std::move(policy));
     return std::move(swept.perConfig.front());
 }
 
@@ -747,8 +759,7 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
         engine_sweep.pool = pool.get();
     }
     const unsigned bench_slots = resolveBenchParallel(
-        sweep.benchParallel, pool_workers, configs.size(),
-        suite_.size());
+        sweep.benchParallel, pool_workers, configs, suite_.size());
 
     if (telemetry != nullptr) {
         telemetry->emit(TelemetryEvent(

@@ -29,6 +29,7 @@
 #include "predictor/branch_predictor.h"
 #include "sim/driver_options.h"
 #include "sim/run_policy.h"
+#include "sim/sweep_options.h"
 #include "trace/trace_source.h"
 #include "workload/suite.h"
 
@@ -172,7 +173,6 @@ using SourceWrapper = std::function<std::unique_ptr<TraceSource>(
     std::size_t bench, std::unique_ptr<TraceSource> inner)>;
 
 struct SweepConfiguration;
-struct SweepOptions;
 
 /**
  * Results of a multi-configuration sweep over a suite: one full
@@ -206,7 +206,9 @@ class SuiteRunner
 
     /**
      * Run one configuration over every benchmark: runSweep() with that
-     * single configuration and default SweepOptions.
+     * single configuration. @p sweep bounds the threads it starts
+     * (SweepOptions::threads, decodeAhead, benchParallel) without
+     * setting CONFSIM_SEQUENTIAL for the whole process.
      *
      * @param make_predictor Fresh-predictor factory (called once per
      *        benchmark attempt, possibly concurrently — must be
@@ -219,7 +221,8 @@ class SuiteRunner
     SuiteRunResult run(const PredictorFactory &make_predictor,
                        const EstimatorSetFactory &make_estimators,
                        DriverOptions options = {},
-                       RunPolicy policy = {}) const;
+                       RunPolicy policy = {},
+                       const SweepOptions &sweep = {}) const;
 
     /**
      * Run configurations over every benchmark, decoding each trace
@@ -249,7 +252,10 @@ class SuiteRunner
      * configurations recover the real cost).
      *
      * @param configs Attached configurations (factories follow the
-     *        same thread-safety rule as run()).
+     *        same thread-safety rule as run()). With
+     *        SweepOptions::benchParallel 0 and several configurations,
+     *        each predictor factory is also called once up front to
+     *        count the pass's trunks (predictorRunsOf).
      * @param options Driver knobs shared by all configurations.
      * @param sweep Thread/batch/pipelining knobs. When
      *        SweepOptions::pool is set the pass runs on that external

@@ -1,14 +1,15 @@
 #include "sim/sweep_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <thread>
+#include <typeinfo>
 #include <utility>
 
 #include "ckpt/checkpoint.h"
@@ -188,75 +189,95 @@ lptShards(const std::vector<std::uint64_t> &cost, std::size_t shards)
 }
 
 /**
- * Everything one configuration owns: its predictor, estimator bank,
- * private replicas of the architectural context registers, the
- * recording-plan cursor, and its accumulating result. This is the one
- * replay state of the simulator: step() is the paper's per-branch loop
- * body, and forEachPart() lists its one checkpoint layout. One worker
- * shard touches one state at a time, so no field needs
- * synchronization. Internal linkage lets the compiler inline step()
- * into the batch loop.
+ * Group configurations whose predictors can be stepped once for all of
+ * them.
+ *
+ * Two predictors fuse only when both are checkpointable, of the same
+ * dynamic type, the same design (BranchPredictor::sameDesignAs), and in
+ * the same state (equal saveState bytes): fed the same branches, they
+ * then make the same predictions forever, so one of them can stand in
+ * for all. Each such class fuses fully, whatever the shard count: one
+ * trunk per class is never split to fill idle shards. Groups list
+ * configurations in order, and each group's first configuration leads
+ * it.
  */
-struct ReplayState
+std::vector<std::vector<std::size_t>>
+fusedGroups(const std::vector<const BranchPredictor *> &predictors)
 {
-    ReplayState(const DriverOptions &options, std::string label)
-        : options(options),
-          registers{HistoryRegister(options.bhrBits),
-                    ShiftRegister(options.gcirBits, 0), 0,
-                    options.contextSwitchInterval, 0, 0}
+    const auto stateOf = [](const BranchPredictor &predictor) {
+        StateWriter out;
+        predictor.saveState(out);
+        return out.take();
+    };
+    std::vector<std::vector<std::size_t>> groups;
+    std::vector<std::optional<std::vector<std::uint8_t>>> leader_state;
+    for (std::size_t c = 0; c < predictors.size(); ++c) {
+        const BranchPredictor &predictor = *predictors[c];
+        std::optional<std::vector<std::uint8_t>> state;
+        std::size_t g = 0;
+        for (; predictor.checkpointable() && g < groups.size(); ++g) {
+            const BranchPredictor &leader = *predictors[groups[g].front()];
+            if (!leader.checkpointable() ||
+                typeid(leader) != typeid(predictor) ||
+                !leader.sameDesignAs(predictor))
+                continue;
+            if (!leader_state[g])
+                leader_state[g] = stateOf(leader);
+            if (!state)
+                state = stateOf(predictor);
+            if (*state == *leader_state[g])
+                break;
+        }
+        if (g < groups.size()) {
+            groups[g].push_back(c);
+        } else {
+            groups.push_back({c});
+            leader_state.emplace_back();
+        }
+    }
+    return groups;
+}
+
+struct ReplayTrunk;
+
+/**
+ * One configuration as it rides a trunk: its estimators and everything
+ * it records (estimator statistics, slot banks, attribution profile).
+ * The predictor, the context registers and the counts that depend only
+ * on them belong to the trunk.
+ */
+struct ReplayMember
+{
+    ReplayMember(std::size_t config, std::string label) : config(config)
     {
-        ctx.bhrBits = options.bhrBits;
-        ctx.gcirBits = options.gcirBits;
         result.label = std::move(label);
     }
 
-    const DriverOptions &options;
+    /** Position in the sweep: the cfgN: prefix and the fault-plan key. */
+    const std::size_t config;
 
     /** Set when the components came from factories (else borrowed). */
     std::unique_ptr<BranchPredictor> ownedPredictor;
     std::vector<std::unique_ptr<ConfidenceEstimator>> ownedEstimators;
 
+    /** Its own predictor; the trunk steps its leader's for all. */
     BranchPredictor *predictor = nullptr;
     std::vector<ConfidenceEstimator *> estimators;
 
-    /**
-     * What step() advances on every branch. replay() works on a local
-     * copy for the length of a batch: the predictor's and estimators'
-     * virtual calls cannot alias a local, so the compiler need not
-     * store and reload these through this state around every call.
-     */
-    struct Registers
-    {
-        HistoryRegister bhr;
-        ShiftRegister gcir;
-        std::uint64_t simulated;   //!< conditionals stepped so far
-        std::uint64_t untilSwitch; //!< branches to the next switch
-        std::uint64_t branches;    //!< recorded (result.branches)
-        std::uint64_t mispredicts; //!< recorded (result.mispredicts)
-    } registers;
-
-    BranchContext ctx;
-    std::uint64_t guardTick = 0;
+    ReplayTrunk *trunk = nullptr;
 
     /** Attribution profile; null unless DriverOptions::profileBranches. */
     BranchProfile *profile = nullptr;
 
-    /**
-     * Recording plan (null = record everything) plus its cursor: the
-     * current region's mode and how many conditionals of the region
-     * remain. The cursor is a pure function of `simulated`, so plan
-     * resolution is batch-boundary independent — the bit-exactness
-     * contract extends to planned runs unchanged.
-     */
-    const SweepRecordingPlan *plan = nullptr;
-    std::uint32_t planSlot = SweepRecordingPlan::kWarmOnly;
-    std::uint64_t planLeft = 0;
+    /** The trunk's predictor state when this member failed while the
+     *  trunk went on without it; finish() leaves its predictor there. */
+    std::optional<std::vector<std::uint8_t>> predictorAtFailure;
 
     SweepConfigResult result;
 
     /** Size the result banks for the attached components. */
     void
-    attach(const SweepRecordingPlan *recording_plan)
+    attach(const DriverOptions &options, const SweepRecordingPlan *plan)
     {
         std::vector<BranchProfileEstimatorInfo> infos;
         for (const auto *estimator : estimators) {
@@ -270,7 +291,6 @@ struct ReplayState
                                            std::move(infos));
             profile = &result.branchProfile;
         }
-        plan = recording_plan;
         if (plan != nullptr) {
             result.slotStats.resize(plan->numSlots);
             for (auto &slot_bank : result.slotStats)
@@ -278,153 +298,13 @@ struct ReplayState
         }
     }
 
-    /**
-     * Replay @p batch: step() every conditional record, polling the
-     * guard every few thousand records so a hung or cancelled pass
-     * unwinds from inside the shard. Any change here must keep
-     * tests/integration/sweep_differential_test.cc green.
-     */
-    void
-    replay(const RecordBatch &batch, const ReplayGuard &guard)
-    {
-        constexpr std::uint64_t kGuardStride = 4096;
-        const bool guarded = guard.active();
-        Registers regs = registers;
-        try {
-            for (const BranchRecord &record : batch) {
-                if (guarded && (++guardTick % kGuardStride) == 0)
-                    guard.checkNow(regs.simulated);
-                if (record.isConditional())
-                    step(record, regs);
-            }
-        } catch (...) {
-            registers = regs;
-            throw;
-        }
-        registers = regs;
-    }
+    /** @return true for the trunk's first member, which restores the
+     *  trunk's checkpoint parts; the others check theirs are the same. */
+    bool leads() const;
 
-    /**
-     * Simulate one conditional branch in the paper's order (Section
-     * 1.2): one observe() per estimator reads its bucket with the
-     * context from before this branch and trains it on whether the
-     * prediction was correct, then the predictor and the BHR/GCIR
-     * train on the outcome. A kSkip plan region fast-forwards: only
-     * the branch cursor and the context-switch clock advance, and a
-     * kWarmOnly window ahead of each detailed region re-converges the
-     * state.
-     */
-    void
-    step(const BranchRecord &record, Registers &regs)
-    {
-        bool recording = true;
-        SweepSlotStats *slot_bank = nullptr;
-        if (plan != nullptr) {
-            if (planLeft == 0) {
-                planSlot = plan->slotForRegion(regs.simulated /
-                                               plan->regionBranches);
-                planLeft = plan->regionBranches;
-            }
-            --planLeft;
-            if (planSlot == SweepRecordingPlan::kSkip) {
-                tick(regs);
-                return;
-            }
-            recording = planSlot != SweepRecordingPlan::kWarmOnly;
-            if (recording)
-                slot_bank = &result.slotStats[planSlot];
-        }
-
-        ctx.pc = record.pc;
-        ctx.bhr = regs.bhr.value();
-        ctx.gcir = regs.gcir.value();
-        const bool correct = predictor->predict(record.pc) == record.taken;
-
-        if (recording) {
-            ++regs.branches;
-            if (!correct)
-                ++regs.mispredicts;
-            if (slot_bank != nullptr) {
-                ++slot_bank->branches;
-                if (!correct)
-                    ++slot_bank->mispredicts;
-            }
-        }
-        for (std::size_t i = 0; i < estimators.size(); ++i) {
-            const std::uint64_t bucket =
-                estimators[i]->observe(ctx, correct, record.taken);
-            if (recording) {
-                result.estimatorStats[i].record(bucket, !correct);
-                if (slot_bank != nullptr)
-                    slot_bank->estimatorStats[i].record(bucket, !correct);
-                if (profile != nullptr)
-                    profile->onBucket(i, bucket, correct);
-            }
-        }
-        if (recording && options.profileStatic)
-            result.staticProfile.record(record.pc, !correct, record.taken);
-        if (recording && profile != nullptr)
-            profile->onBranch(record.pc, !correct);
-
-        predictor->update(record.pc, record.taken);
-        regs.bhr.recordOutcome(record.taken);
-        regs.gcir.shiftIn(!correct);
-        tick(regs);
-    }
-
-    /**
-     * Count one simulated branch and model a context switch every
-     * contextSwitchInterval branches (Section 5.4): the predictor, the
-     * estimators, and the BHR/GCIR restart from power-on. Accumulated
-     * statistics are never cleared.
-     */
-    void
-    tick(Registers &regs)
-    {
-        ++regs.simulated;
-        if (options.contextSwitchInterval == 0 || --regs.untilSwitch != 0)
-            return;
-        regs.untilSwitch = options.contextSwitchInterval;
-        predictor->reset();
-        for (auto *estimator : estimators)
-            estimator->reset();
-        regs.bhr.reset();
-        regs.gcir.clear();
-        ++result.contextSwitches;
-    }
-
-    /** Registers and counters: the cfgN:meta entry. */
-    void
-    saveState(StateWriter &out) const
-    {
-        out.putString(result.label);
-        out.putU64(estimators.size());
-        out.putU64(registers.simulated);
-        out.putU64(registers.untilSwitch);
-        out.putU64(registers.bhr.value());
-        out.putU64(registers.gcir.value());
-        out.putU64(registers.branches);
-        out.putU64(registers.mispredicts);
-        out.putU64(result.contextSwitches);
-    }
-
-    void
-    loadState(StateReader &in)
-    {
-        const std::string label = in.getString();
-        if (label != result.label) {
-            fatal(ErrorCategory::kCheckpoint, "checkpoint config is '" +
-                  label + "', expected '" + result.label + "'");
-        }
-        in.expectU64(estimators.size(), "checkpoint estimator count");
-        registers.simulated = in.getU64();
-        registers.untilSwitch = in.getU64();
-        registers.bhr.setValue(in.getU64());
-        registers.gcir.set(in.getU64());
-        registers.branches = in.getU64();
-        registers.mispredicts = in.getU64();
-        result.contextSwitches = in.getU64();
-    }
+    /** The cfgN:meta entry: label, estimator count, trunk registers. */
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in);
 
     /**
      * Call @p visit(name, version, part) for every checkpointed part
@@ -432,22 +312,7 @@ struct ReplayState
      * that save() writes and restore() reads back.
      */
     template <typename Visit>
-    void
-    forEachPart(const std::string &prefix, Visit &&visit)
-    {
-        visit(prefix + "meta", kLayoutVersion, *this);
-        visit(prefix + "predictor:" + predictor->name(),
-              predictor->stateVersion(), *predictor);
-        for (std::size_t i = 0; i < estimators.size(); ++i) {
-            const std::string index = std::to_string(i);
-            visit(prefix + "estimator" + index + ":" +
-                      estimators[i]->name(),
-                  estimators[i]->stateVersion(), *estimators[i]);
-            visit(prefix + "stats" + index, 1u, result.estimatorStats[i]);
-        }
-        if (options.profileStatic)
-            visit(prefix + "static_profile", 1u, result.staticProfile);
-    }
+    void forEachPart(const std::string &prefix, Visit &&visit);
 
     void
     save(Checkpoint &ckpt, const std::string &prefix)
@@ -469,12 +334,519 @@ struct ReplayState
     }
 };
 
+/**
+ * A part the trunk owns, seen through one member's checkpoint entry.
+ * Every member writes the trunk's bytes, so the layout is the same as
+ * if each configuration had stepped a predictor of its own. On restore
+ * the leader loads them into the trunk and every other member only
+ * checks that its copy is the same bytes (kCheckpoint otherwise).
+ */
+template <typename Part>
+struct TrunkPart
+{
+    Part &part;
+    bool load;
+    const char *what;
+
+    void saveState(StateWriter &out) const { part.saveState(out); }
+
+    void
+    loadState(StateReader &in)
+    {
+        if (load) {
+            part.loadState(in);
+            return;
+        }
+        StateWriter current;
+        part.saveState(current);
+        in.expectBytes(current.bytes(), what);
+    }
+};
+
+/**
+ * One predictor stepped for every configuration fused onto it (see
+ * fusedGroups()): the predictor, private replicas of the architectural
+ * context registers (BHR and global CIR), the context-switch clock, the
+ * recording-plan cursor, the branch and mispredict counts, and the
+ * static profile. step() is the paper's per-branch loop body and the
+ * simulator's only one: a one-configuration run is a trunk with one
+ * member. One worker shard touches one trunk and its members at a time,
+ * so no field needs synchronization. Internal linkage lets the compiler
+ * inline step() into the batch loop.
+ */
+struct ReplayTrunk
+{
+    ReplayTrunk(const DriverOptions &options, BranchPredictor &predictor,
+                const SweepRecordingPlan *plan, bool isolate)
+        : options(options), predictor(&predictor),
+          registers{HistoryRegister(options.bhrBits),
+                    ShiftRegister(options.gcirBits, 0), 0,
+                    options.contextSwitchInterval, 0, 0},
+          plan(plan), isolate(isolate)
+    {
+        ctx.bhrBits = options.bhrBits;
+        ctx.gcirBits = options.gcirBits;
+        if (plan != nullptr)
+            slotCounts.resize(plan->numSlots);
+    }
+
+    const DriverOptions &options;
+    BranchPredictor *const predictor;
+
+    /** Every member in configuration order, and those not failed. */
+    std::vector<ReplayMember *> members;
+    std::vector<ReplayMember *> live;
+
+    /** One live member's estimator and the banks it records into. */
+    struct Lane
+    {
+        ConfidenceEstimator *estimator;
+        BucketStats *stats;   //!< the member's aggregate bank for it
+        ReplayMember *member;
+        std::size_t index;    //!< the estimator's place in its member
+    };
+
+    /** The live members' estimators, member after member: step()
+     *  walks this one flat list. */
+    std::vector<Lane> lanes;
+
+    /** Rebuild lanes from live. */
+    void
+    relane()
+    {
+        lanes.clear();
+        for (ReplayMember *member : live) {
+            for (std::size_t i = 0; i < member->estimators.size(); ++i) {
+                lanes.push_back({member->estimators[i],
+                                 &member->result.estimatorStats[i], member,
+                                 i});
+            }
+        }
+    }
+
+    /**
+     * What step() advances on every branch. replay() works on a local
+     * copy for the length of a batch: the predictor's and estimators'
+     * virtual calls cannot alias a local, so the compiler need not
+     * store and reload these through this state around every call.
+     */
+    struct Registers
+    {
+        HistoryRegister bhr;
+        ShiftRegister gcir;
+        std::uint64_t simulated;   //!< conditionals stepped so far
+        std::uint64_t untilSwitch; //!< branches to the next switch
+        std::uint64_t branches;    //!< recorded branches
+        std::uint64_t mispredicts; //!< recorded predictor misses
+    } registers;
+
+    std::uint64_t contextSwitches = 0;
+    BranchContext ctx;
+    std::uint64_t guardTick = 0;
+
+    /**
+     * Recording plan (null = record everything) plus its cursor: the
+     * current region's mode and how many conditionals of the region
+     * remain. The cursor is a pure function of `simulated`, so plan
+     * resolution is batch-boundary independent — the bit-exactness
+     * contract extends to planned runs unchanged.
+     */
+    const SweepRecordingPlan *const plan;
+    std::uint32_t planSlot = SweepRecordingPlan::kWarmOnly;
+    std::uint64_t planLeft = 0;
+
+    /** Recorded branches and misses per plan slot. */
+    struct SlotCounts
+    {
+        std::uint64_t branches = 0;
+        std::uint64_t mispredicts = 0;
+    };
+    std::vector<SlotCounts> slotCounts;
+
+    StaticBranchProfile staticProfile;
+
+    /** SweepOptions::isolateConfigFailures for this pass. */
+    const bool isolate;
+
+    /**
+     * Replay @p batch: step() every conditional record, polling the
+     * guard every few thousand records so a hung or cancelled pass
+     * unwinds from inside the shard. Each live member first meets its
+     * injected shard fault, if the plan has one. Any change here must
+     * keep tests/integration/sweep_differential_test.cc green.
+     */
+    void
+    replay(const RecordBatch &batch, const ReplayGuard &guard)
+    {
+        FaultInjector &injector = FaultInjector::instance();
+        for (std::size_t k = 0; injector.armed() && k < live.size();) {
+            try {
+                if (injector.fire(FaultSite::kShardReplay,
+                                  options.telemetryLabel,
+                                  live[k]->config) == FaultAction::kHang)
+                    guard.park();
+                ++k;
+            } catch (const std::exception &e) {
+                if (!isolable(e))
+                    throw;
+                failMember(live[k], e, Counts::of(registers));
+            }
+        }
+        if (live.empty())
+            return;
+
+        constexpr std::uint64_t kGuardStride = 4096;
+        const bool guarded = guard.active();
+        Registers regs = registers;
+        try {
+            for (const BranchRecord &record : batch) {
+                if (guarded && (++guardTick % kGuardStride) == 0)
+                    guard.checkNow(regs.simulated);
+                if (record.isConditional())
+                    step(record, regs);
+            }
+        } catch (...) {
+            registers = regs;
+            throw;
+        }
+        registers = regs;
+    }
+
+    /**
+     * Simulate one conditional branch in the paper's order (Section
+     * 1.2): predict once; then one observe() per live member's
+     * estimator reads its bucket with the context from before this
+     * branch and trains it on whether the prediction was correct; then
+     * the predictor and the BHR/GCIR train on the outcome. An error in
+     * one member fails that member alone; the trunk and its other
+     * members go on. A kSkip plan region fast-forwards: only the
+     * branch cursor and the context-switch clock advance, and a
+     * kWarmOnly window ahead of each detailed region re-converges the
+     * state.
+     */
+    void
+    step(const BranchRecord &record, Registers &regs)
+    {
+        bool recording = true;
+        std::uint32_t slot = SweepRecordingPlan::kWarmOnly;
+        if (plan != nullptr) {
+            if (planLeft == 0) {
+                planSlot = plan->slotForRegion(regs.simulated /
+                                               plan->regionBranches);
+                planLeft = plan->regionBranches;
+            }
+            --planLeft;
+            if (planSlot == SweepRecordingPlan::kSkip) {
+                tick(regs);
+                return;
+            }
+            recording = planSlot != SweepRecordingPlan::kWarmOnly;
+            slot = planSlot;
+        }
+
+        ctx.pc = record.pc;
+        ctx.bhr = regs.bhr.value();
+        ctx.gcir = regs.gcir.value();
+        const bool correct = predictor->predict(record.pc) == record.taken;
+
+        if (recording) {
+            ++regs.branches;
+            if (!correct)
+                ++regs.mispredicts;
+            if (slot != SweepRecordingPlan::kWarmOnly) {
+                ++slotCounts[slot].branches;
+                if (!correct)
+                    ++slotCounts[slot].mispredicts;
+            }
+        }
+        const bool detailed = recording &&
+                              (slot != SweepRecordingPlan::kWarmOnly ||
+                               options.profileBranches);
+        for (std::size_t l = 0; l < lanes.size();) {
+            const Lane &lane = lanes[l];
+            try {
+                const std::uint64_t bucket =
+                    lane.estimator->observe(ctx, correct, record.taken);
+                if (recording)
+                    lane.stats->record(bucket, !correct);
+                if (detailed)
+                    recordDetail(lane, slot, bucket, correct);
+                ++l;
+            } catch (const std::exception &e) {
+                if (!isolable(e))
+                    throw;
+                // The member's lanes leave the list; go on with the
+                // next member's first lane. Counts go by value: taking
+                // the address of regs would make the compiler reload
+                // it around every virtual call.
+                const std::size_t first = l - lane.index;
+                failMember(lane.member, e, Counts::of(regs));
+                l = first;
+            }
+        }
+        if (recording && options.profileBranches) {
+            for (ReplayMember *member : live)
+                member->profile->onBranch(record.pc, !correct);
+        }
+        if (recording && options.profileStatic)
+            staticProfile.record(record.pc, !correct, record.taken);
+
+        predictor->update(record.pc, record.taken);
+        regs.bhr.recordOutcome(record.taken);
+        regs.gcir.shiftIn(!correct);
+        tick(regs);
+    }
+
+    /** Record @p bucket into @p lane's slot bank and branch profile. */
+    static void
+    recordDetail(const Lane &lane, std::uint32_t slot, std::uint64_t bucket,
+                 bool correct)
+    {
+        ReplayMember &member = *lane.member;
+        if (slot != SweepRecordingPlan::kWarmOnly) {
+            member.result.slotStats[slot].estimatorStats[lane.index].record(
+                bucket, !correct);
+        }
+        if (member.profile != nullptr)
+            member.profile->onBucket(lane.index, bucket, correct);
+    }
+
+    /**
+     * Count one simulated branch and model a context switch every
+     * contextSwitchInterval branches (Section 5.4): the predictor, the
+     * estimators, and the BHR/GCIR restart from power-on. Accumulated
+     * statistics are never cleared.
+     */
+    void
+    tick(Registers &regs)
+    {
+        ++regs.simulated;
+        if (options.contextSwitchInterval == 0 || --regs.untilSwitch != 0)
+            return;
+        regs.untilSwitch = options.contextSwitchInterval;
+        predictor->reset();
+        for (ReplayMember *member : live) {
+            for (auto *estimator : member->estimators)
+                estimator->reset();
+        }
+        regs.bhr.reset();
+        regs.gcir.clear();
+        ++contextSwitches;
+    }
+
+    /**
+     * @return true when @p error fails only the configuration it came
+     * from. Watchdog timeouts and cancellation always fail the pass,
+     * and so does every error when the pass isolates no failures.
+     */
+    bool
+    isolable(const std::exception &error) const
+    {
+        const ErrorCategory category = categoryOf(error);
+        return isolate && category != ErrorCategory::kTimeout &&
+               category != ErrorCategory::kCancelled;
+    }
+
+    /** The counts a member's result takes from the trunk. */
+    struct Counts
+    {
+        std::uint64_t simulated;
+        std::uint64_t branches;
+        std::uint64_t mispredicts;
+
+        static Counts
+        of(const Registers &regs)
+        {
+            return {regs.simulated, regs.branches, regs.mispredicts};
+        }
+    };
+
+    /**
+     * Fail live @p failed for @p error: freeze its counts at @p counts
+     * and its predictor's state where the trunk's is now, and drop it,
+     * so the trunk and the other members go on exactly as if it had
+     * never been attached.
+     */
+    void
+    failMember(ReplayMember *failed, const std::exception &error,
+               Counts counts)
+    {
+        ReplayMember &member = *failed;
+        live.erase(std::find(live.begin(), live.end(), failed));
+        relane();
+        if (!live.empty()) {
+            StateWriter out;
+            predictor->saveState(out);
+            member.predictorAtFailure = out.take();
+        }
+        member.result.error = error.what();
+        collect(member, counts);
+        member.result.staticProfile = staticProfile;
+        Telemetry *const telemetry = options.telemetry;
+        if (telemetry == nullptr)
+            return;
+        telemetry->registry().increment("sweep.config_failed");
+        telemetry->emit(TelemetryEvent(
+            events::kSweepConfigFailed,
+            {field("benchmark", options.telemetryLabel),
+             field("config", member.result.label),
+             field("at_branch", counts.simulated),
+             field("category", std::string(toString(categoryOf(error)))),
+             field("error", std::string(error.what()))}));
+    }
+
+    /** Copy the counts every member shares into @p member's result. */
+    void
+    collect(ReplayMember &member, Counts counts) const
+    {
+        member.result.branches = counts.branches;
+        member.result.mispredicts = counts.mispredicts;
+        member.result.contextSwitches = contextSwitches;
+        for (std::size_t s = 0; s < slotCounts.size(); ++s) {
+            member.result.slotStats[s].branches = slotCounts[s].branches;
+            member.result.slotStats[s].mispredicts =
+                slotCounts[s].mispredicts;
+        }
+    }
+
+    /**
+     * Close the pass: every live member gets the shared counts and the
+     * static profile, and every member's own predictor is left in the
+     * state its pass ended in (the trunk's final state, or the one it
+     * failed at) with its estimators paired to it, so callers holding
+     * components from the factories see them trained.
+     */
+    void
+    finish()
+    {
+        for (std::size_t k = 0; k < live.size(); ++k) {
+            collect(*live[k], Counts::of(registers));
+            if (k + 1 < live.size())
+                live[k]->result.staticProfile = staticProfile;
+            else
+                live[k]->result.staticProfile = std::move(staticProfile);
+        }
+        if (members.size() == 1)
+            return;
+        // Taken before any load: the leader's predictor is the trunk's.
+        StateWriter out;
+        predictor->saveState(out);
+        const std::vector<std::uint8_t> final_state = out.take();
+        for (ReplayMember *member : members) {
+            const auto &failed_at = member->predictorAtFailure;
+            if (member->predictor == predictor && !failed_at)
+                continue;
+            StateReader in(failed_at ? *failed_at : final_state);
+            member->predictor->loadState(in);
+            for (auto *estimator : member->estimators)
+                estimator->pairWith(*member->predictor);
+        }
+    }
+
+    /** Registers and counters: the trunk's share of cfgN:meta. */
+    void
+    saveState(StateWriter &out) const
+    {
+        out.putU64(registers.simulated);
+        out.putU64(registers.untilSwitch);
+        out.putU64(registers.bhr.value());
+        out.putU64(registers.gcir.value());
+        out.putU64(registers.branches);
+        out.putU64(registers.mispredicts);
+        out.putU64(contextSwitches);
+    }
+
+    void
+    loadState(StateReader &in)
+    {
+        registers.simulated = in.getU64();
+        registers.untilSwitch = in.getU64();
+        registers.bhr.setValue(in.getU64());
+        registers.gcir.set(in.getU64());
+        registers.branches = in.getU64();
+        registers.mispredicts = in.getU64();
+        contextSwitches = in.getU64();
+    }
+};
+
+void
+ReplayMember::saveState(StateWriter &out) const
+{
+    out.putString(result.label);
+    out.putU64(estimators.size());
+    trunk->saveState(out);
+}
+
+bool
+ReplayMember::leads() const
+{
+    return trunk->members.front() == this;
+}
+
+void
+ReplayMember::loadState(StateReader &in)
+{
+    const std::string label = in.getString();
+    if (label != result.label) {
+        fatal(ErrorCategory::kCheckpoint, "checkpoint config is '" +
+              label + "', expected '" + result.label + "'");
+    }
+    in.expectU64(estimators.size(), "checkpoint estimator count");
+    TrunkPart<ReplayTrunk>{*trunk, leads(),
+                           "a fused configuration's registers"}
+        .loadState(in);
+}
+
+template <typename Visit>
+void
+ReplayMember::forEachPart(const std::string &prefix, Visit &&visit)
+{
+    visit(prefix + "meta", kLayoutVersion, *this);
+    BranchPredictor &shared = *trunk->predictor;
+    TrunkPart<BranchPredictor> predictor_part{
+        shared, leads(), "a fused configuration's predictor"};
+    visit(prefix + "predictor:" + shared.name(), shared.stateVersion(),
+          predictor_part);
+    for (std::size_t i = 0; i < estimators.size(); ++i) {
+        const std::string index = std::to_string(i);
+        visit(prefix + "estimator" + index + ":" + estimators[i]->name(),
+              estimators[i]->stateVersion(), *estimators[i]);
+        visit(prefix + "stats" + index, 1u, result.estimatorStats[i]);
+    }
+    if (trunk->options.profileStatic) {
+        TrunkPart<StaticBranchProfile> profile_part{
+            trunk->staticProfile, leads(),
+            "a fused configuration's static profile"};
+        visit(prefix + "static_profile", 1u, profile_part);
+    }
+}
+
 } // namespace
 
-/** The engine's opaque per-configuration state (sweep_engine.h). */
-struct SweepEngine::ConfigState : ReplayState
+std::size_t
+predictorRunsOf(const std::vector<SweepConfiguration> &configs)
 {
-    using ReplayState::ReplayState;
+    std::vector<std::unique_ptr<BranchPredictor>> owned;
+    std::vector<const BranchPredictor *> predictors;
+    for (const SweepConfiguration &config : configs) {
+        owned.push_back(config.makePredictor());
+        if (owned.back() == nullptr)
+            return configs.size();
+        predictors.push_back(owned.back().get());
+    }
+    return fusedGroups(predictors).size();
+}
+
+/** The engine's opaque per-configuration state (sweep_engine.h). */
+struct SweepEngine::ConfigState : ReplayMember
+{
+    using ReplayMember::ReplayMember;
+};
+
+/** The engine's opaque per-predictor state (sweep_engine.h). */
+struct SweepEngine::TrunkState : ReplayTrunk
+{
+    using ReplayTrunk::ReplayTrunk;
 };
 
 SweepWorkerPool::SweepWorkerPool(unsigned workers)
@@ -975,12 +1347,18 @@ SweepEngine::runImpl(TraceSource &source,
         }
     }
 
-    // Build every configuration's private state: fresh components from
-    // its factories, or the caller's own components when borrowed.
+    // Build every configuration's state: fresh components from its
+    // factories, or the caller's own components when borrowed. Then
+    // fuse the configurations whose predictors are the same design in
+    // the same state onto one trunk each (fusedGroups), led by the
+    // group's first configuration's predictor.
+    trunks_.clear();
     states_.clear();
     states_.reserve(configs_.size());
-    for (const auto &config : configs_) {
-        auto state = std::make_unique<ConfigState>(driver_, config.label);
+    std::vector<const BranchPredictor *> predictors;
+    for (std::size_t c = 0; c < configs_.size(); ++c) {
+        const SweepConfiguration &config = configs_[c];
+        auto state = std::make_unique<ConfigState>(c, config.label);
         if (borrowedPredictor_ != nullptr) {
             state->predictor = borrowedPredictor_;
             state->estimators = borrowedEstimators_;
@@ -995,15 +1373,58 @@ SweepEngine::runImpl(TraceSource &source,
             for (const auto &estimator : state->ownedEstimators)
                 state->estimators.push_back(estimator.get());
         }
-        // Native estimators grade their configuration's predictor by
-        // reading it; a pairing they cannot grade fails here as kConfig.
+        // Native estimators grade the predictor they ride by reading
+        // it; a pairing they cannot grade fails here as kConfig.
         for (auto *estimator : state->estimators)
             estimator->pairWith(*state->predictor);
         if (ckptEvery_ != 0)
             requireCheckpointable(*state->predictor, state->estimators);
-        state->attach(plan);
+        state->attach(driver_, plan);
+        predictors.push_back(state->predictor);
         states_.push_back(std::move(state));
     }
+    for (const auto &group : fusedGroups(predictors)) {
+        BranchPredictor &leader = *states_[group.front()]->predictor;
+        auto trunk = std::make_unique<TrunkState>(
+            driver_, leader, plan, sweep_.isolateConfigFailures);
+        for (const std::size_t c : group) {
+            ConfigState &state = *states_[c];
+            state.trunk = trunk.get();
+            if (c != group.front()) {
+                for (auto *estimator : state.estimators)
+                    estimator->pairWith(leader);
+            }
+            trunk->members.push_back(&state);
+        }
+        trunk->live = trunk->members;
+        trunk->relane();
+        trunks_.push_back(std::move(trunk));
+    }
+
+    // Parallelism: a shared pool (if provided) or an engine-owned one.
+    // Either way shards never exceed the trunk count — a batch is
+    // split into min(workers, trunks) groups of trunks.
+    // A lone engine can't use more workers than it has trunks (a
+    // trunk's replay is serial by the bit-exactness contract);
+    // SuiteRunner::runSweep recovers surplus cores by pipelining
+    // benchmarks on a shared, globally sized pool.
+    SweepWorkerPool *pool = sweep_.pool;
+    std::unique_ptr<SweepWorkerPool> owned_pool;
+    if (pool == nullptr) {
+        const std::size_t threads = std::min<std::size_t>(
+            resolveSweepWorkers(sweep_.threads), trunks_.size());
+        if (threads > 1) {
+            owned_pool = std::make_unique<SweepWorkerPool>(
+                static_cast<unsigned>(threads));
+            pool = owned_pool.get();
+        }
+    }
+    const std::size_t shard_count =
+        pool == nullptr
+            ? 1
+            : std::max<std::size_t>(
+                  1, std::min<std::size_t>(pool->workers(),
+                                           trunks_.size()));
 
     std::uint64_t simulated = 0; // conditional branches, shared cursor
     std::uint64_t consumed = 0;  // all records, shared cursor
@@ -1011,6 +1432,7 @@ SweepEngine::runImpl(TraceSource &source,
     if (resume_from != nullptr) {
         PassShape shape = PassShape::of(driver_, configs_.size());
         resume_from->restoreState("sweep:meta", kLayoutVersion, shape);
+        // Configuration order restores each trunk's leader first.
         for (std::size_t c = 0; c < states_.size(); ++c)
             states_[c]->restore(*resume_from, cfgPrefix(c));
 
@@ -1033,30 +1455,6 @@ SweepEngine::runImpl(TraceSource &source,
         }
     }
 
-    // Parallelism: a shared pool (if provided) or an engine-owned one.
-    // Either way shards never exceed the configuration count — a batch
-    // is split into min(workers, configs) groups of configs.
-    // A lone engine can't use more workers than it has configurations
-    // (per-config replay is serial by the bit-exactness contract);
-    // SuiteRunner::runSweep recovers surplus cores by pipelining
-    // benchmarks on a shared, globally sized pool.
-    SweepWorkerPool *pool = sweep_.pool;
-    std::unique_ptr<SweepWorkerPool> owned_pool;
-    if (pool == nullptr) {
-        const std::size_t threads = std::min<std::size_t>(
-            resolveSweepWorkers(sweep_.threads), configs_.size());
-        if (threads > 1) {
-            owned_pool = std::make_unique<SweepWorkerPool>(
-                static_cast<unsigned>(threads));
-            pool = owned_pool.get();
-        }
-    }
-    const std::size_t shard_count =
-        pool == nullptr
-            ? 1
-            : std::max<std::size_t>(
-                  1, std::min<std::size_t>(pool->workers(),
-                                           states_.size()));
     std::size_t decode_ahead = sweep_.decodeAhead == 0
                                    ? SweepOptions::kDefaultDecodeAhead
                                    : sweep_.decodeAhead;
@@ -1095,46 +1493,25 @@ SweepEngine::runImpl(TraceSource &source,
     RunningStats batch_ns;
     RunningStats stall_ns;
 
-    const bool isolate = sweep_.isolateConfigFailures;
-    std::atomic<bool> config_failed{false};
-
-    // Shard-level fault isolation: a configuration whose replay (or
-    // injected fault) throws a retryable/internal error is marked
-    // failed and skipped from then on; the remaining configurations
-    // never see a perturbed replay order, so their results stay
-    // bit-exact. Timeouts and cancellation always fail the pass.
-    const auto replayConfig = [&](std::size_t c,
-                                  const RecordBatch &batch) {
-        ConfigState &state = *states_[c];
-        if (state.result.failed())
+    // Fault isolation: a configuration whose estimators (or injected
+    // shard fault) throw a retryable/internal error is failed and
+    // dropped from its trunk (ReplayTrunk::failMember); the trunk and
+    // the other configurations never see a perturbed replay order, so
+    // their results stay bit-exact. An error of the trunk itself (its
+    // predictor) fails every configuration on it. Timeouts and
+    // cancellation always fail the pass.
+    const auto replayTrunk = [&](std::size_t t, const RecordBatch &batch) {
+        TrunkState &trunk = *trunks_[t];
+        if (trunk.live.empty())
             return;
         try {
-            FaultInjector &injector = FaultInjector::instance();
-            if (injector.armed() &&
-                injector.fire(FaultSite::kShardReplay,
-                              driver_.telemetryLabel,
-                              c) == FaultAction::kHang) {
-                guard.park();
-            }
-            state.replay(batch, guard);
+            trunk.replay(batch, guard);
         } catch (const std::exception &e) {
-            const ErrorCategory category = categoryOf(e);
-            if (!isolate || category == ErrorCategory::kTimeout ||
-                category == ErrorCategory::kCancelled) {
+            if (!trunk.isolable(e))
                 throw;
-            }
-            state.result.error = e.what();
-            config_failed.store(true, std::memory_order_relaxed);
-            if (driver_.telemetry != nullptr) {
-                driver_.telemetry->registry().increment(
-                    "sweep.config_failed");
-                driver_.telemetry->emit(TelemetryEvent(
-                    events::kSweepConfigFailed,
-                    {field("benchmark", driver_.telemetryLabel),
-                     field("config", configs_[c].label),
-                     field("at_branch", state.registers.simulated),
-                     field("category", std::string(toString(category))),
-                     field("error", std::string(e.what()))}));
+            while (!trunk.live.empty()) {
+                trunk.failMember(trunk.live.front(), e,
+                                 TrunkState::Counts::of(trunk.registers));
             }
         }
     };
@@ -1146,35 +1523,36 @@ SweepEngine::runImpl(TraceSource &source,
     // of shard_busy_ns; the sum against wall x shards is the
     // pipeline-occupancy headline.
     //
-    // The first batch runs contiguous config ranges and times every
-    // config; from the second batch on the configs are assigned to
-    // shards longest-processing-time first by those costs, so the
-    // expensive families spread across shards. A config replays on one
-    // shard at a time either way, so assignment never changes results.
+    // The unit of work is a trunk. The first batch runs contiguous
+    // trunk ranges and times every trunk; from the second batch on the
+    // trunks are assigned to shards longest-processing-time first by
+    // those costs, so the expensive families spread across shards. A
+    // trunk replays on one shard at a time either way, so assignment
+    // never changes results.
     SpanTracer *const spans = driver_.spans;
     std::vector<std::uint64_t> shard_busy_ns(shard_count, 0);
-    std::vector<std::vector<std::size_t>> shard_configs(shard_count);
+    std::vector<std::vector<std::size_t>> shard_trunks(shard_count);
     for (std::size_t s = 0; s < shard_count; ++s) {
-        for (std::size_t c = states_.size() * s / shard_count;
-             c < states_.size() * (s + 1) / shard_count; ++c)
-            shard_configs[s].push_back(c);
+        for (std::size_t t = trunks_.size() * s / shard_count;
+             t < trunks_.size() * (s + 1) / shard_count; ++t)
+            shard_trunks[s].push_back(t);
     }
-    std::vector<std::uint64_t> config_ns; // first batch only
+    std::vector<std::uint64_t> trunk_ns; // first batch only
     if (shard_count > 1)
-        config_ns.assign(states_.size(), 0);
+        trunk_ns.assign(trunks_.size(), 0);
     const auto replayShard = [&](std::size_t s,
                                  const RecordBatch &batch) {
         const Clock::time_point s0 = Clock::now();
         {
             ScopedSpan replay_span(spans, "shard.replay");
-            for (const std::size_t c : shard_configs[s]) {
-                if (config_ns.empty()) {
-                    replayConfig(c, batch);
+            for (const std::size_t t : shard_trunks[s]) {
+                if (trunk_ns.empty()) {
+                    replayTrunk(t, batch);
                     continue;
                 }
-                const Clock::time_point c0 = Clock::now();
-                replayConfig(c, batch);
-                config_ns[c] = static_cast<std::uint64_t>(nsSince(c0));
+                const Clock::time_point t0 = Clock::now();
+                replayTrunk(t, batch);
+                trunk_ns[t] = static_cast<std::uint64_t>(nsSince(t0));
             }
         }
         shard_busy_ns[s] += static_cast<std::uint64_t>(nsSince(s0));
@@ -1197,9 +1575,9 @@ SweepEngine::runImpl(TraceSource &source,
                 });
             }
             pool->runAll(std::move(tasks), guard.cancel);
-            if (!config_ns.empty()) {
-                shard_configs = lptShards(config_ns, shard_count);
-                config_ns.clear();
+            if (!trunk_ns.empty()) {
+                shard_trunks = lptShards(trunk_ns, shard_count);
+                trunk_ns.clear();
             }
         }
         batch_ns.add(nsSince(t0));
@@ -1229,7 +1607,10 @@ SweepEngine::runImpl(TraceSource &source,
             // resuming any of them is bit-exact. The slot is released
             // either way, to unblock the producer's barrier.
             if (slot->checkpointDue &&
-                !config_failed.load(std::memory_order_relaxed))
+                std::none_of(states_.begin(), states_.end(),
+                             [](const auto &state) {
+                                 return state->result.failed();
+                             }))
                 writeCheckpoint(source, result, consumed, simulated);
             ring.release(*slot);
         }
@@ -1245,16 +1626,16 @@ SweepEngine::runImpl(TraceSource &source,
 
     result.records = consumed;
     result.branches = simulated;
+    result.predictorRuns = trunks_.size();
     // The states themselves (predictors, estimators, history
     // replicas) stay alive until the next run() or destruction, so
     // callers holding component pointers from the factories can still
     // inspect or serialize the final trained state.
+    for (auto &trunk : trunks_)
+        trunk->finish();
     result.perConfig.reserve(states_.size());
-    for (auto &state : states_) {
-        state->result.branches = state->registers.branches;
-        state->result.mispredicts = state->registers.mispredicts;
+    for (auto &state : states_)
         result.perConfig.push_back(std::move(state->result));
-    }
 
     const auto totalMs = [](const RunningStats &ns) {
         return ns.mean() * static_cast<double>(ns.count()) * 1e-6;
@@ -1301,6 +1682,7 @@ SweepEngine::runImpl(TraceSource &source,
                        result.perConfig.size())),
              field("threads",
                    static_cast<std::uint64_t>(shard_count)),
+             field("predictor_runs", result.predictorRuns),
              field("records", result.records),
              field("branches", result.branches),
              field("batches", result.batches),

@@ -15,16 +15,22 @@
  * one-configuration engine over caller-owned components, and
  * SuiteRunner::run() is a one-configuration SuiteRunner::runSweep().
  *
- * Configurations are sharded across a pool of persistent worker
- * threads. Each configuration owns private replicas of the
- * architectural context registers (BHR and global CIR) and its own
- * predictor, estimator bank, bucket statistics, and static profile,
- * and steps through every conditional branch exactly as the paper's
- * loop does — results are bit-exact with an independent reference
- * replay of each configuration alone (the contract
+ * Configurations whose predictors are the same design in the same
+ * state (BranchPredictor::sameDesignAs plus equal saveState bytes)
+ * ride one *trunk*: one predictor with private replicas of the
+ * architectural context registers (BHR and global CIR), the
+ * context-switch clock, the recording-plan cursor, the branch counts
+ * and the static profile, stepped once per branch for all of them.
+ * Each configuration keeps its own estimator bank and bucket
+ * statistics and observes every conditional branch between the
+ * trunk's predict and update, exactly as the paper's loop does —
+ * results are bit-exact with an independent reference replay of each
+ * configuration alone (the contract
  * tests/integration/sweep_differential_test.cc enforces for every
- * estimator family). Thread count and batch size only change wall
- * time, never results.
+ * estimator family). Trunks are sharded across a pool of persistent
+ * worker threads, at most one shard per trunk; a same-design class
+ * stays one trunk even when workers outnumber trunks. Thread count
+ * and batch size only change wall time, never results.
  *
  * Two pipelining layers overlap the remaining serial phases, both
  * pure performance knobs that never change results:
@@ -62,6 +68,7 @@
 #include "metrics/bucket_stats.h"
 #include "sim/driver_options.h"
 #include "sim/suite_runner.h"
+#include "sim/sweep_options.h"
 #include "trace/record_batch.h"
 #include "util/running_stats.h"
 
@@ -150,7 +157,12 @@ struct SweepConfiguration
     /** Label used in results, telemetry, and checkpoint components. */
     std::string label;
 
-    /** Fresh-predictor factory (invoked once per run()). */
+    /**
+     * Fresh-predictor factory (invoked once per run()). When several
+     * configurations' predictors can share one trunk, the first one's
+     * is stepped for all; after the pass every configuration's own
+     * predictor holds the final trained state.
+     */
     PredictorFactory makePredictor;
 
     /** Fresh-estimator-set factory (invoked once per run()). */
@@ -175,7 +187,7 @@ struct SweepConfiguration
  *    the wall-clock lever: state diverges, so plans place a kWarmOnly
  *    window before each detailed region to re-converge it.
  *
- * The plan is indexed purely by each configuration's private count of
+ * The plan is indexed purely by each trunk's private count of
  * simulated conditional branches, so results are bit-exact at any
  * thread count, batch size, or decode-ahead depth — the same contract
  * as every other sweep knob. Plans compose with neither checkpointing
@@ -206,73 +218,6 @@ struct SweepRecordingPlan
         return region < regionSlots.size() ? regionSlots[region]
                                            : kWarmOnly;
     }
-};
-
-/** Sweep-engine knobs (simulation semantics come from DriverOptions). */
-struct SweepOptions
-{
-    /**
-     * Worker threads to shard configurations across; 0 = one per
-     * hardware thread, capped at the configuration count. 1 runs
-     * inline on the calling thread. Thread count never changes
-     * results. Ignored when @ref pool is set (the shared pool's size
-     * governs; shards are still capped at the configuration count).
-     */
-    unsigned threads = 0;
-
-    /** Records per broadcast batch (see RecordBatch). */
-    std::size_t batchSize = RecordBatch::kDefaultCapacity;
-
-    /**
-     * Decode-ahead ring depth: how many batches may be decoded ahead
-     * of the one being replayed. >= 2 runs a producer thread that
-     * refills batches while workers replay (the default); 1 refills
-     * synchronously between broadcasts (the pre-pipelining engine);
-     * 0 = default depth. Pure performance knob — results, checkpoint
-     * cadence, and resume behaviour are bit-identical at any depth.
-     * CONFSIM_SEQUENTIAL forces 1.
-     */
-    std::size_t decodeAhead = kDefaultDecodeAhead;
-
-    /**
-     * SuiteRunner::runSweep() only: how many benchmarks' sweep passes
-     * may run concurrently on the shared pool. 0 sizes automatically
-     * (pool workers / shards per benchmark). 1 runs benchmarks
-     * sequentially. Never changes results; per-benchmark error
-     * isolation and suite-order merging are preserved.
-     * CONFSIM_SEQUENTIAL forces 1.
-     */
-    unsigned benchParallel = 0;
-
-    /**
-     * Optional shared worker pool (non-owning). When set, the engine
-     * broadcasts batches through it instead of creating a private
-     * pool, so several engines can share globally sized parallelism.
-     * The pool must outlive every run()/resume() call.
-     */
-    SweepWorkerPool *pool = nullptr;
-
-    /**
-     * Per-configuration failure isolation. When set, a configuration
-     * whose replay throws a retryable/internal error is marked failed
-     * (SweepConfigResult::error) and dropped from subsequent batches
-     * while the surviving configurations continue bit-exactly; the
-     * engine also stops writing further sweep checkpoints (previously
-     * written generations stay valid and resumable). Watchdog
-     * timeouts and cancellation always fail the whole pass.
-     * SuiteRunner::runSweep() sets this for kContinueOnError
-     * policies, mirroring benchmark-level isolation.
-     */
-    bool isolateConfigFailures = false;
-
-    /**
-     * Optional region-granular recording plan (non-owning; must
-     * outlive the run). Null replays and records everything — the
-     * exact-simulation default. See SweepRecordingPlan.
-     */
-    const SweepRecordingPlan *recordingPlan = nullptr;
-
-    static constexpr std::size_t kDefaultDecodeAhead = 3;
 };
 
 /**
@@ -321,9 +266,9 @@ struct SweepConfigResult
 
     /**
      * Empty on success. With SweepOptions::isolateConfigFailures set,
-     * a failed configuration carries its error here (counts frozen at
-     * the last completed batch) while the other configurations'
-     * results remain bit-exact and trustworthy.
+     * a failed configuration carries its error here (counts frozen
+     * where it failed) while the other configurations' results remain
+     * bit-exact and trustworthy.
      */
     std::string error;
 
@@ -350,6 +295,14 @@ struct SweepRunResult
     std::uint64_t records = 0;  //!< records consumed from the source
     std::uint64_t branches = 0; //!< conditional branches simulated
     std::uint64_t batches = 0;  //!< broadcast batches processed
+
+    /**
+     * Distinct predictors stepped per branch: one per trunk, so fewer
+     * than the configurations when several share one predictor design
+     * (see SweepEngine).
+     */
+    std::uint64_t predictorRuns = 0;
+
     double wallMs = 0.0;        //!< wall time of the run() call
     /** Total time the replay side waited on trace decode. With
      *  decode-ahead this is genuine pipeline stall; at depth 1 it is
@@ -379,6 +332,13 @@ struct SweepRunResult
 bool sequentialForced();
 
 /**
+ * @return how many predictors a pass over @p configs steps per branch
+ * (SweepRunResult::predictorRuns): one per group of configurations
+ * whose fresh predictors fuse. Calls every predictor factory once.
+ */
+std::size_t predictorRunsOf(const std::vector<SweepConfiguration> &configs);
+
+/**
  * @return worker threads for a SweepOptions::threads request: 0 = one
  * per hardware thread; sequentialForced() forces 1.
  */
@@ -388,8 +348,11 @@ unsigned resolveSweepWorkers(unsigned requested);
 class SweepEngine
 {
   public:
-    /** Per-configuration private state (opaque; defined in the .cc). */
+    /** One configuration's estimators and results (opaque). */
     struct ConfigState;
+
+    /** One predictor stepped for its fused configurations (opaque). */
+    struct TrunkState;
 
     /**
      * @param configs Attached configurations (>= 1).
@@ -458,6 +421,7 @@ class SweepEngine
     std::uint64_t ckptEvery_ = 0;
     CheckpointStore *ckptStore_ = nullptr;
     std::vector<std::unique_ptr<ConfigState>> states_;
+    std::vector<std::unique_ptr<TrunkState>> trunks_;
 };
 
 } // namespace confsim

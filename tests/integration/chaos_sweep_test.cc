@@ -37,6 +37,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/checkpoint_store.h"
+#include "ckpt/state_io.h"
 #include "confidence/one_level.h"
 #include "confidence/self_counter.h"
 #include "fault/fault_plan.h"
@@ -200,6 +201,170 @@ TEST(ChaosSweep, ShardFaultIsolatesSingleConfig)
     }
     EXPECT_EQ(FaultInjector::instance().injectedCount(), 1u);
     EXPECT_EQ(telemetry.registry().counter("sweep.config_failed"), 1u);
+}
+
+/**
+ * A resetting-counter estimator that raises Error{kInternal} on its
+ * @p failAt-th observation: an estimator defect inside one member of a
+ * fused trunk, mid-batch.
+ */
+class FailingEstimator : public OneLevelCounterConfidence
+{
+  public:
+    explicit FailingEstimator(std::uint64_t fail_at)
+        : OneLevelCounterConfidence(IndexScheme::PcXorBhr, 1024,
+                                    CounterKind::Resetting, 16, 0),
+          failAt_(fail_at)
+    {
+    }
+
+    std::uint64_t
+    observe(const BranchContext &ctx, bool correct, bool taken) override
+    {
+        if (++observed_ == failAt_)
+            throw Error(ErrorCategory::kInternal, "estimator defect");
+        return OneLevelCounterConfidence::observe(ctx, correct, taken);
+    }
+
+  private:
+    std::uint64_t failAt_;
+    std::uint64_t observed_ = 0;
+};
+
+std::vector<std::uint8_t>
+stateOf(const BranchPredictor &predictor)
+{
+    StateWriter out;
+    predictor.saveState(out);
+    return out.take();
+}
+
+/** A fresh test predictor trained on the first @p n conditionals. */
+std::vector<std::uint8_t>
+testPredictorStateAfter(std::uint64_t n)
+{
+    auto predictor = testPredictor()();
+    auto source = freshSource();
+    BranchRecord record;
+    while (n > 0 && source->next(record)) {
+        if (!record.isConditional())
+            continue;
+        predictor->predict(record.pc);
+        predictor->update(record.pc, record.taken);
+        --n;
+    }
+    return stateOf(*predictor);
+}
+
+/** Point each family's factory-made predictor into @p out. */
+void
+capturePredictors(std::vector<Family> &families,
+                  std::vector<BranchPredictor *> &out)
+{
+    out.assign(families.size(), nullptr);
+    for (std::size_t c = 0; c < families.size(); ++c) {
+        families[c].makePredictor = [make = families[c].makePredictor,
+                                     &out, c] {
+            auto predictor = make();
+            out[c] = predictor.get();
+            return predictor;
+        };
+    }
+}
+
+TEST(ChaosSweep, FusedMemberFaultsFailOnlyThatMember)
+{
+    // One thread keeps all four chaos families on one gshare trunk. An
+    // injected shard fault fails cfg 2 before its third batch, and an
+    // estimator of a fifth member throws mid-batch; the trunk goes on
+    // and the three untouched members match their references.
+    std::vector<Family> families = chaosFamilies();
+    families.push_back({"failing_estimator", testPredictor(), [] {
+                            std::vector<std::unique_ptr<ConfidenceEstimator>>
+                                out;
+                            out.push_back(
+                                std::make_unique<FailingEstimator>(7'777));
+                            return out;
+                        }});
+    const std::vector<Family> references = families;
+    std::vector<BranchPredictor *> predictors;
+    capturePredictors(families, predictors);
+    Telemetry telemetry{TelemetryOptions{}};
+    DriverOptions options;
+    options.telemetry = &telemetry;
+    SweepOptions sweep;
+    sweep.threads = 1;
+    sweep.batchSize = 1000;
+    sweep.isolateConfigFailures = true;
+
+    ScopedFaultPlan scoped("shard:cfg=2,batch=3:throw");
+    SweepEngine engine(families, options, sweep);
+    auto source = freshSource();
+    const SweepRunResult result = engine.run(*source);
+
+    EXPECT_EQ(result.predictorRuns, 1u);
+    ASSERT_EQ(result.perConfig.size(), families.size());
+    EXPECT_TRUE(result.perConfig[2].failed());
+    EXPECT_NE(result.perConfig[2].error.find("injected fault"),
+              std::string::npos);
+    EXPECT_TRUE(result.perConfig[4].failed());
+    EXPECT_EQ(result.perConfig[4].error, "estimator defect");
+    // Counts freeze where each member left the trunk.
+    EXPECT_LT(result.perConfig[2].branches, result.perConfig[0].branches);
+    EXPECT_LT(result.perConfig[4].branches, result.perConfig[0].branches);
+    for (const std::size_t c : {std::size_t{0}, std::size_t{1},
+                                std::size_t{3}}) {
+        expectConfigMatches(runSequential(references[c], DriverOptions{}),
+                            result.perConfig[c],
+                            families[c].label + " fused survivor");
+    }
+    EXPECT_EQ(telemetry.registry().counter("sweep.config_failed"), 2u);
+
+    // Each member's own predictor ends where its pass ended: the
+    // survivors' in the trunk's final state, a failed member's where it
+    // left the trunk (the estimator failed after the predict of its
+    // last counted branch, before that branch's update).
+    const std::uint64_t all = result.perConfig[0].branches;
+    for (const std::size_t c : {std::size_t{0}, std::size_t{1},
+                                std::size_t{3}})
+        EXPECT_EQ(stateOf(*predictors[c]), testPredictorStateAfter(all));
+    EXPECT_EQ(stateOf(*predictors[2]),
+              testPredictorStateAfter(result.perConfig[2].branches));
+    EXPECT_EQ(stateOf(*predictors[4]),
+              testPredictorStateAfter(result.perConfig[4].branches - 1));
+}
+
+TEST(ChaosSweep, FusedLeaderFaultLeavesTheTrunkRunning)
+{
+    // The leader's predictor is the one the trunk steps. When the
+    // leader fails, the trunk goes on for the others, and the leader's
+    // predictor still ends where the leader left.
+    const std::vector<Family> references = chaosFamilies();
+    std::vector<Family> families = references;
+    std::vector<BranchPredictor *> predictors;
+    capturePredictors(families, predictors);
+    SweepOptions sweep;
+    sweep.threads = 1;
+    sweep.batchSize = 1000;
+    sweep.isolateConfigFailures = true;
+
+    ScopedFaultPlan scoped("shard:cfg=0,batch=3:throw");
+    SweepEngine engine(families, DriverOptions{}, sweep);
+    auto source = freshSource();
+    const SweepRunResult result = engine.run(*source);
+
+    EXPECT_EQ(result.predictorRuns, 1u);
+    EXPECT_TRUE(result.perConfig[0].failed());
+    EXPECT_LT(result.perConfig[0].branches, result.perConfig[1].branches);
+    for (std::size_t c = 1; c < families.size(); ++c) {
+        expectConfigMatches(runSequential(references[c], DriverOptions{}),
+                            result.perConfig[c],
+                            families[c].label + " survivor of the leader");
+        EXPECT_EQ(stateOf(*predictors[c]),
+                  testPredictorStateAfter(result.perConfig[c].branches));
+    }
+    EXPECT_EQ(stateOf(*predictors[0]),
+              testPredictorStateAfter(result.perConfig[0].branches));
 }
 
 TEST(ChaosSweep, ShardFaultWithoutIsolationFailsRun)

@@ -30,12 +30,19 @@ namespace confsim {
 namespace {
 
 PredictorFactory
-testPredictor()
+testPredictor(unsigned history_bits)
 {
-    return [] { return std::make_unique<GsharePredictor>(4096, 12); };
+    return [history_bits] {
+        return std::make_unique<GsharePredictor>(4096, history_bits);
+    };
 }
 
-/** Eight small sweep configurations (the acceptance scenario). */
+/**
+ * Eight small sweep configurations (the acceptance scenario) on two
+ * gshare designs, so they replay as two trunks and a two-thread sweep
+ * runs both worker shards: configurations on one design would fuse
+ * onto a single trunk that replays inline.
+ */
 std::vector<SweepConfiguration>
 eightConfigs()
 {
@@ -47,7 +54,7 @@ eightConfigs()
     std::vector<SweepConfiguration> configs;
     for (int i = 0; i < 4; ++i) {
         configs.push_back(
-            {"resetting_" + std::to_string(i), testPredictor(),
+            {"resetting_" + std::to_string(i), testPredictor(12),
              [one, i] {
                  return one(
                      std::make_unique<OneLevelCounterConfidence>(
@@ -55,7 +62,7 @@ eightConfigs()
                          CounterKind::Resetting, 16, 0));
              }});
         configs.push_back(
-            {"two_level_" + std::to_string(i), testPredictor(),
+            {"two_level_" + std::to_string(i), testPredictor(11),
              [one, i] {
                  return one(std::make_unique<TwoLevelConfidence>(
                      IndexScheme::Pc, 256u << i, 8,

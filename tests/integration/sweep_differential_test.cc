@@ -35,6 +35,7 @@
 #include "sim/sweep_engine.h"
 #include "support/family_registry.h"
 #include "support/reference_replay.h"
+#include "util/error.h"
 #include "workload/suite.h"
 
 namespace confsim {
@@ -353,6 +354,176 @@ TEST(SweepDifferential, CheckpointResumeIsBitExact)
                         resumed.perConfig[c],
                         families[c].label + " (resumed)");
     }
+}
+
+/**
+ * Every estimator family as its own configuration on the one reference
+ * gshare, plus a second configuration on each native estimator's TAGE
+ * and perceptron: three predictor designs, so the engine fuses the
+ * fifteen configurations onto three trunks.
+ */
+std::vector<Family>
+fusedFamilies()
+{
+    std::vector<Family> families = estimatorFamilyRegistry();
+    families.push_back(differentialFamilyNamed("pred_tage"));
+    families.push_back(differentialFamilyNamed("pred_perceptron"));
+    return families;
+}
+
+TEST(SweepDifferential, FusedTrunksBitExactAtAnyThreadCount)
+{
+    const std::vector<Family> families = fusedFamilies();
+    constexpr std::uint64_t kFusedBranches = 30'000;
+    for (const std::uint64_t interval : {std::uint64_t{0},
+                                         std::uint64_t{777}}) {
+        DriverOptions options;
+        options.profileStatic = true;
+        options.contextSwitchInterval = interval;
+        std::vector<SequentialRun> references;
+        for (const Family &family : families)
+            references.push_back(
+                runSequential(family, options, kFusedBranches));
+
+        // Three trunks at any thread count: the gshare class stays
+        // fused even when shards outnumber trunks.
+        const struct
+        {
+            unsigned threads;
+            std::size_t batchSize;
+        } runs[] = {{1, 333}, {3, 101}, {4, 1000}};
+        for (const auto &run : runs) {
+            SweepOptions sweep;
+            sweep.threads = run.threads;
+            sweep.batchSize = run.batchSize;
+            SweepEngine engine(families, options, sweep);
+            auto source = freshSource(kFusedBranches);
+            const SweepRunResult result = engine.run(*source);
+            const std::string context =
+                " (interval " + std::to_string(interval) + ", " +
+                std::to_string(run.threads) + " threads)";
+            EXPECT_EQ(result.predictorRuns, 3u) << context;
+            ASSERT_EQ(result.perConfig.size(), families.size());
+            for (std::size_t c = 0; c < families.size(); ++c) {
+                expectIdentical(references[c].result, result.perConfig[c],
+                                families[c].label + context);
+            }
+        }
+    }
+}
+
+TEST(SweepDifferential, FusedMembersKeepTheTrunksFinalState)
+{
+    // After a fused pass every configuration's own factory-made
+    // predictor holds the final state, and its estimators read it: the
+    // serialized components equal each reference replay's.
+    const std::vector<Family> families = fusedFamilies();
+    DriverOptions options;
+    options.contextSwitchInterval = 7000; // does not divide kBranches
+
+    std::vector<BranchPredictor *> predictors(families.size(), nullptr);
+    std::vector<std::vector<ConfidenceEstimator *>> estimators(
+        families.size());
+    std::vector<SweepConfiguration> configs;
+    for (std::size_t c = 0; c < families.size(); ++c) {
+        const Family &family = families[c];
+        configs.push_back(
+            {family.label,
+             [&family, &predictors, c] {
+                 auto predictor = family.makePredictor();
+                 predictors[c] = predictor.get();
+                 return predictor;
+             },
+             [&family, &estimators, c] {
+                 auto owned = family.makeEstimators();
+                 estimators[c].clear();
+                 for (auto &estimator : owned)
+                     estimators[c].push_back(estimator.get());
+                 return owned;
+             }});
+    }
+    SweepOptions sweep;
+    sweep.threads = 2;
+    SweepEngine engine(configs, options, sweep);
+    auto source = freshSource();
+    EXPECT_LT(engine.run(*source).predictorRuns, families.size());
+
+    for (std::size_t c = 0; c < families.size(); ++c) {
+        ASSERT_NE(predictors[c], nullptr);
+        EXPECT_EQ(runSequential(families[c], options).stateBytes,
+                  snapshotBytes(*predictors[c], estimators[c]))
+            << families[c].label;
+    }
+}
+
+TEST(SweepDifferential, ResumeRefusesFusedMembersWhosePredictorsDiffer)
+{
+    // Fused members each write the trunk's predictor bytes. A
+    // checkpoint in which two of them disagree describes no fused pass,
+    // so resume refuses it rather than pick one.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        "sweep_resume_fused_mismatch";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    const std::vector<Family> families = {
+        differentialFamilyNamed("counter_resetting"),
+        differentialFamilyNamed("one_level_raw_pc")};
+    SweepOptions sweep;
+    sweep.threads = 1;
+    CheckpointStore store(dir.string(), "fused", 2);
+    SweepEngine writer(families, DriverOptions{}, sweep);
+    writer.checkpointEvery(20'000, &store);
+    auto source = freshSource();
+    const SweepRunResult written = writer.run(*source);
+    EXPECT_EQ(written.predictorRuns, 1u);
+    const auto ckpt = store.loadLatestValid();
+    ASSERT_TRUE(ckpt.has_value());
+
+    // The untouched checkpoint resumes...
+    {
+        SweepEngine resumed(families, DriverOptions{}, sweep);
+        auto resumed_source = freshSource();
+        const SweepRunResult result =
+            resumed.resume(*resumed_source, *ckpt);
+        for (std::size_t c = 0; c < families.size(); ++c) {
+            expectIdentical(runSequential(families[c], DriverOptions{})
+                                .result,
+                            result.perConfig[c], families[c].label);
+        }
+    }
+
+    // ...but not once cfg1's predictor part holds another state.
+    const std::string prefix = "cfg1:predictor:";
+    Checkpoint tampered;
+    tampered.label = ckpt->label;
+    tampered.watermark = ckpt->watermark;
+    tampered.branches = ckpt->branches;
+    bool replaced = false;
+    for (const CheckpointComponent &part : ckpt->components()) {
+        if (part.name.rfind(prefix, 0) != 0) {
+            tampered.add(part.name, part.version, part.payload);
+            continue;
+        }
+        auto fresh = families[1].makePredictor();
+        StateWriter bytes;
+        fresh->saveState(bytes);
+        ASSERT_NE(bytes.bytes(), part.payload);
+        tampered.add(part.name, part.version, bytes.take());
+        replaced = true;
+    }
+    ASSERT_TRUE(replaced);
+    SweepEngine refused(families, DriverOptions{}, sweep);
+    auto refused_source = freshSource();
+    try {
+        refused.resume(*refused_source, tampered);
+        FAIL() << "resume accepted fused members with different "
+                  "predictor states";
+    } catch (const std::exception &e) {
+        EXPECT_EQ(categoryOf(e), ErrorCategory::kCheckpoint) << e.what();
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepDifferential, DecodeAheadDepthNeverChangesResults)

@@ -19,6 +19,7 @@
 #include "obs/telemetry.h"
 #include "predictor/gshare.h"
 #include "sim/suite_runner.h"
+#include "sim/sweep_engine.h"
 #include "fault/fault_injection.h"
 #include "trace/trace_io.h"
 
@@ -310,6 +311,133 @@ TEST_F(TelemetryIntegrationTest, CorruptChunkRecoveryEmitsSkipEvents)
     EXPECT_TRUE(saw_detail);
     EXPECT_NE(lines.back().find("\"trace.corrupt_chunks_skipped\":"),
               std::string::npos);
+}
+
+TEST_F(TelemetryIntegrationTest, RunForwardsSweepOptionsToTheEngine)
+{
+    // SuiteRunner::run takes SweepOptions, so a library caller can
+    // bound the threads it starts without CONFSIM_SEQUENTIAL; every
+    // pass reports the knobs it ran with.
+    const std::string bounded_log = tempPath("-bounded.jsonl");
+    const std::string default_log = tempPath("-default.jsonl");
+    const BenchmarkSuite suite =
+        BenchmarkSuite::ibsSubset({"jpeg", "groff"}, 3000);
+    for (const std::string &log : {bounded_log, default_log}) {
+        TelemetryOptions telemetry_options;
+        telemetry_options.jsonlPath = log;
+        const auto telemetry = Telemetry::fromOptions(telemetry_options);
+        DriverOptions options;
+        options.telemetry = telemetry.get();
+        SuiteRunner runner(suite);
+        if (log == bounded_log) {
+            SweepOptions sweep;
+            sweep.threads = 1;
+            sweep.decodeAhead = 1;
+            runner.run(makePredictor(), makeEstimators(), options, {},
+                       sweep);
+        } else {
+            runner.run(makePredictor(), makeEstimators(), options);
+        }
+        telemetry->finish();
+    }
+
+    const auto started = [](const std::string &log) {
+        std::vector<std::string> out;
+        for (const auto &line : readLines(log)) {
+            if (line.find("\"type\":\"sweep_run_started\"") !=
+                std::string::npos)
+                out.push_back(line);
+        }
+        return out;
+    };
+    const auto bounded = started(bounded_log);
+    ASSERT_EQ(bounded.size(), suite.size());
+    for (const auto &line : bounded) {
+        EXPECT_NE(line.find("\"threads\":1,"), std::string::npos) << line;
+        EXPECT_NE(line.find("\"decode_ahead\":1,"), std::string::npos)
+            << line;
+    }
+    // The default ring depth shows the options really were forwarded.
+    if (!sequentialForced()) {
+        const std::string depth =
+            "\"decode_ahead\":" +
+            std::to_string(SweepOptions::kDefaultDecodeAhead) + ",";
+        for (const auto &line : started(default_log))
+            EXPECT_NE(line.find(depth), std::string::npos) << line;
+    }
+}
+
+TEST_F(TelemetryIntegrationTest, SweepRunFinishedCountsPredictorRuns)
+{
+    // Three configurations on one gshare design share one predictor;
+    // a fourth on another geometry needs its own.
+    const std::string log = tempPath(".jsonl");
+    const auto on = [](PredictorFactory make) {
+        return SweepConfiguration{"", std::move(make), makeEstimators()};
+    };
+    std::vector<SweepConfiguration> configs = {
+        on(makePredictor()), on(makePredictor()), on(makePredictor()),
+        on([] { return std::make_unique<GsharePredictor>(4096, 10); })};
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        configs[c].label = "cfg" + std::to_string(c);
+    {
+        TelemetryOptions telemetry_options;
+        telemetry_options.jsonlPath = log;
+        const auto telemetry = Telemetry::fromOptions(telemetry_options);
+        DriverOptions options;
+        options.telemetry = telemetry.get();
+        SweepOptions sweep;
+        sweep.threads = 1;
+        SweepEngine engine(configs, options, sweep);
+        auto source = BenchmarkSuite::ibsSmall(3000).makeGenerator(0);
+        EXPECT_EQ(engine.run(*source).predictorRuns, 2u);
+        telemetry->finish();
+    }
+    const auto lines = readLines(log);
+    ASSERT_EQ(countContaining(lines, "\"type\":\"sweep_run_finished\""),
+              1u);
+    EXPECT_EQ(countContaining(lines, "\"predictor_runs\":2,"), 1u);
+}
+
+TEST_F(TelemetryIntegrationTest, RunSweepSizesBenchmarkSlotsByTrunks)
+{
+    // A benchmark's pass uses one shard per fused trunk, so three
+    // configurations on one design leave the other workers to further
+    // benchmarks, while three on distinct designs fill all three.
+    const BenchmarkSuite suite =
+        BenchmarkSuite::ibsSubset({"jpeg", "groff"}, 3000);
+    const auto startedParallel = [&](const std::vector<PredictorFactory>
+                                         &designs) {
+        const std::string log = tempPath(".jsonl");
+        std::vector<SweepConfiguration> configs;
+        for (const PredictorFactory &make : designs)
+            configs.push_back(SweepConfiguration{
+                "cfg" + std::to_string(configs.size()), make,
+                makeEstimators()});
+        {
+            TelemetryOptions telemetry_options;
+            telemetry_options.jsonlPath = log;
+            const auto telemetry =
+                Telemetry::fromOptions(telemetry_options);
+            DriverOptions options;
+            options.telemetry = telemetry.get();
+            SweepOptions sweep;
+            sweep.threads = 3;
+            SuiteRunner(suite).runSweep(configs, options, sweep);
+            telemetry->finish();
+        }
+        const auto lines = readLines(log);
+        EXPECT_EQ(countContaining(lines, "\"type\":\"sweep_run_finished\""),
+                  suite.size());
+        return countContaining(lines, "\"parallel\":true") == 1;
+    };
+    const PredictorFactory one = makePredictor();
+    const bool fused = startedParallel({one, one, one});
+    const bool distinct = startedParallel(
+        {one, [] { return std::make_unique<GsharePredictor>(4096, 10); },
+         [] { return std::make_unique<GsharePredictor>(8192, 12); }});
+    EXPECT_EQ(fused, !sequentialForced());
+    EXPECT_FALSE(distinct);
 }
 
 } // namespace

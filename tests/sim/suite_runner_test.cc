@@ -438,6 +438,34 @@ TEST(SuiteRunnerTest, FactoriesInvokedExactlyOncePerBenchmark)
     EXPECT_EQ(result.estimatorNames[0], "1lvl-PCxorBHR-reset16-4096");
 }
 
+TEST(SuiteRunnerTest, ThrowingFactoryFailsEachBenchmarkUnderItsPolicy)
+{
+    // Sizing benchmark parallelism calls every predictor factory once
+    // up front; a factory that throws there must still fail only the
+    // benchmarks, as the run policy says, not the whole sweep.
+    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"},
+                                                 2000));
+    const PredictorFactory throwing = []() -> std::unique_ptr<
+                                           BranchPredictor> {
+        fatal(ErrorCategory::kConfig, "no such predictor");
+    };
+    const std::vector<SweepConfiguration> configs = {
+        {"good", smallPredictor(), smallEstimators()},
+        {"bad", throwing, smallEstimators()}};
+    SweepOptions sweep;
+    sweep.threads = 2;
+    SweepSuiteResult result;
+    ASSERT_NO_THROW(result = runner.runSweep(configs, {}, sweep,
+                                             RunPolicy::continueOnError()));
+    ASSERT_EQ(result.perConfig.size(), 2u);
+    for (const SuiteRunResult &config : result.perConfig) {
+        ASSERT_EQ(config.perBenchmark.size(), 2u);
+        for (const auto &bench : config.perBenchmark)
+            EXPECT_TRUE(bench.failed());
+    }
+    EXPECT_THROW(runner.runSweep(configs, {}, sweep), std::runtime_error);
+}
+
 // ---------------------------------------------------------------------
 // Retired checkpoint layouts: the sequential driver's driver:meta
 // generations must be rejected as kCheckpoint, never misread.
