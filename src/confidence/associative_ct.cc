@@ -106,34 +106,7 @@ AssociativeCounterConfidence::update(const BranchContext &ctx,
         entry.counter = 0;
     }
 
-    Entry &entry = entries_[base + way];
-    switch (kind_) {
-      case CounterKind::Saturating:
-        if (correct) {
-            if (entry.counter < maxValue_)
-                ++entry.counter;
-        } else {
-            if (entry.counter > 0)
-                --entry.counter;
-        }
-        break;
-      case CounterKind::Resetting:
-        if (correct) {
-            if (entry.counter < maxValue_)
-                ++entry.counter;
-        } else {
-            entry.counter = 0;
-        }
-        break;
-      case CounterKind::HalfReset:
-        if (correct) {
-            if (entry.counter < maxValue_)
-                ++entry.counter;
-        } else {
-            entry.counter /= 2;
-        }
-        break;
-    }
+    trainCounter(kind_, entries_[base + way].counter, maxValue_, correct);
     touch(set, way);
 }
 

@@ -142,33 +142,7 @@ OneLevelCounterConfidence::observe(const BranchContext &ctx,
 {
     auto &counter = counters_[computeIndex(scheme_, ctx, indexBits_)];
     const std::uint32_t before = counter;
-    switch (kind_) {
-      case CounterKind::Saturating:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            if (counter > 0)
-                --counter;
-        }
-        break;
-      case CounterKind::Resetting:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            counter = 0;
-        }
-        break;
-      case CounterKind::HalfReset:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            counter /= 2;
-        }
-        break;
-    }
+    trainCounter(kind_, counter, maxValue_, correct);
     return before;
 }
 

@@ -18,6 +18,7 @@
 #ifndef CONFSIM_CONFIDENCE_ONE_LEVEL_H
 #define CONFSIM_CONFIDENCE_ONE_LEVEL_H
 
+#include <cstdint>
 #include <vector>
 
 #include "confidence/cir_table.h"
@@ -104,6 +105,36 @@ enum class CounterKind
 
 /** @return "sat", "reset" or "halfreset". */
 const char *toString(CounterKind kind);
+
+/**
+ * Train a confidence counter of @p kind on one prediction: a correct
+ * prediction counts up, saturating at @p max; a misprediction counts
+ * down by one (Saturating), resets to 0 (Resetting) or halves
+ * (HalfReset). Every counter-based estimator steps its counters here.
+ */
+template <typename Counter>
+inline void
+trainCounter(CounterKind kind, Counter &counter, std::uint32_t max,
+             bool correct)
+{
+    if (correct) {
+        if (counter < max)
+            ++counter;
+        return;
+    }
+    switch (kind) {
+      case CounterKind::Saturating:
+        if (counter > 0)
+            --counter;
+        break;
+      case CounterKind::Resetting:
+        counter = 0;
+        break;
+      case CounterKind::HalfReset:
+        counter /= 2;
+        break;
+    }
+}
 
 /**
  * One-level confidence mechanism with embedded counters in the table.

@@ -37,34 +37,7 @@ void
 UnaliasedCounterConfidence::update(const BranchContext &ctx,
                                    bool correct, bool)
 {
-    auto &counter = counters_[keyOf(ctx)];
-    switch (kind_) {
-      case CounterKind::Saturating:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            if (counter > 0)
-                --counter;
-        }
-        break;
-      case CounterKind::Resetting:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            counter = 0;
-        }
-        break;
-      case CounterKind::HalfReset:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            counter /= 2;
-        }
-        break;
-    }
+    trainCounter(kind_, counters_[keyOf(ctx)], maxValue_, correct);
 }
 
 std::uint64_t

@@ -189,54 +189,64 @@ lptShards(const std::vector<std::uint64_t> &cost, std::size_t shards)
 }
 
 /**
- * Group configurations whose predictors can be stepped once for all of
- * them.
+ * The predictors that lead trunks, and the rule that fuses another
+ * predictor onto one of them.
  *
  * Two predictors fuse only when both are checkpointable, of the same
  * dynamic type, the same design (BranchPredictor::sameDesignAs), and in
  * the same state (equal saveState bytes): fed the same branches, they
- * then make the same predictions forever, so one of them can stand in
- * for all. Each such class fuses fully, whatever the shard count: one
- * trunk per class is never split to fill idle shards. Groups list
- * configurations in order, and each group's first configuration leads
- * it.
+ * then make the same predictions forever, so the leader can stand in
+ * for both. Each such class fuses fully, whatever the shard count: one
+ * trunk per class is never split to fill idle shards.
  */
-std::vector<std::vector<std::size_t>>
-fusedGroups(const std::vector<const BranchPredictor *> &predictors)
+class TrunkLeaders
 {
-    const auto stateOf = [](const BranchPredictor &predictor) {
+  public:
+    /**
+     * @return the index of the leader @p predictor fuses with, or the
+     * number of leaders before the call when it fuses with none: it
+     * then leads a new trunk, and must outlive this object.
+     */
+    std::size_t
+    join(const BranchPredictor &predictor)
+    {
+        std::optional<std::vector<std::uint8_t>> state;
+        for (std::size_t t = 0;
+             predictor.checkpointable() && t < leaders_.size(); ++t) {
+            Leader &leader = leaders_[t];
+            if (!leader.predictor->checkpointable() ||
+                typeid(*leader.predictor) != typeid(predictor) ||
+                !leader.predictor->sameDesignAs(predictor))
+                continue;
+            if (!leader.state)
+                leader.state = stateOf(*leader.predictor);
+            if (!state)
+                state = stateOf(predictor);
+            if (*state == *leader.state)
+                return t;
+        }
+        leaders_.push_back({&predictor, std::move(state)});
+        return leaders_.size() - 1;
+    }
+
+  private:
+    struct Leader
+    {
+        const BranchPredictor *predictor;
+        /** Its fresh saveState bytes, taken when first compared. */
+        std::optional<std::vector<std::uint8_t>> state;
+    };
+
+    static std::vector<std::uint8_t>
+    stateOf(const BranchPredictor &predictor)
+    {
         StateWriter out;
         predictor.saveState(out);
         return out.take();
-    };
-    std::vector<std::vector<std::size_t>> groups;
-    std::vector<std::optional<std::vector<std::uint8_t>>> leader_state;
-    for (std::size_t c = 0; c < predictors.size(); ++c) {
-        const BranchPredictor &predictor = *predictors[c];
-        std::optional<std::vector<std::uint8_t>> state;
-        std::size_t g = 0;
-        for (; predictor.checkpointable() && g < groups.size(); ++g) {
-            const BranchPredictor &leader = *predictors[groups[g].front()];
-            if (!leader.checkpointable() ||
-                typeid(leader) != typeid(predictor) ||
-                !leader.sameDesignAs(predictor))
-                continue;
-            if (!leader_state[g])
-                leader_state[g] = stateOf(leader);
-            if (!state)
-                state = stateOf(predictor);
-            if (*state == *leader_state[g])
-                break;
-        }
-        if (g < groups.size()) {
-            groups[g].push_back(c);
-        } else {
-            groups.push_back({c});
-            leader_state.emplace_back();
-        }
     }
-    return groups;
-}
+
+    std::vector<Leader> leaders_;
+};
 
 struct ReplayTrunk;
 
@@ -256,22 +266,16 @@ struct ReplayMember
     /** Position in the sweep: the cfgN: prefix and the fault-plan key. */
     const std::size_t config;
 
-    /** Set when the components came from factories (else borrowed). */
-    std::unique_ptr<BranchPredictor> ownedPredictor;
+    /** Set when the estimators came from a factory (else borrowed). */
     std::vector<std::unique_ptr<ConfidenceEstimator>> ownedEstimators;
 
-    /** Its own predictor; the trunk steps its leader's for all. */
-    BranchPredictor *predictor = nullptr;
+    /** Its estimators, each paired with the trunk's predictor. */
     std::vector<ConfidenceEstimator *> estimators;
 
     ReplayTrunk *trunk = nullptr;
 
     /** Attribution profile; null unless DriverOptions::profileBranches. */
     BranchProfile *profile = nullptr;
-
-    /** The trunk's predictor state when this member failed while the
-     *  trunk went on without it; finish() leaves its predictor there. */
-    std::optional<std::vector<std::uint8_t>> predictorAtFailure;
 
     SweepConfigResult result;
 
@@ -365,20 +369,26 @@ struct TrunkPart
 
 /**
  * One predictor stepped for every configuration fused onto it (see
- * fusedGroups()): the predictor, private replicas of the architectural
+ * TrunkLeaders): the predictor, private replicas of the architectural
  * context registers (BHR and global CIR), the context-switch clock, the
  * recording-plan cursor, the branch and mispredict counts, and the
- * static profile. step() is the paper's per-branch loop body and the
- * simulator's only one: a one-configuration run is a trunk with one
- * member. One worker shard touches one trunk and its members at a time,
- * so no field needs synchronization. Internal linkage lets the compiler
- * inline step() into the batch loop.
+ * static profile. The trunk owns the predictor unless the caller lent
+ * it (SimulationDriver); a configuration whose fresh predictor fuses
+ * with the trunk's drops its own as soon as it is matched. step() is
+ * the paper's per-branch loop body and the simulator's only one: a
+ * one-configuration run is a trunk with one member. One worker shard
+ * touches one trunk and its members at a time, so no field needs
+ * synchronization. Internal linkage lets the compiler inline step()
+ * into the batch loop.
  */
 struct ReplayTrunk
 {
+    /** @p owned is null for a borrowed @p predictor, else holds it. */
     ReplayTrunk(const DriverOptions &options, BranchPredictor &predictor,
+                std::unique_ptr<BranchPredictor> owned,
                 const SweepRecordingPlan *plan, bool isolate)
-        : options(options), predictor(&predictor),
+        : options(options), owned(std::move(owned)),
+          predictor(&predictor),
           registers{HistoryRegister(options.bhrBits),
                     ShiftRegister(options.gcirBits, 0), 0,
                     options.contextSwitchInterval, 0, 0},
@@ -391,6 +401,7 @@ struct ReplayTrunk
     }
 
     const DriverOptions &options;
+    const std::unique_ptr<BranchPredictor> owned; //!< null if borrowed
     BranchPredictor *const predictor;
 
     /** Every member in configuration order, and those not failed. */
@@ -663,9 +674,8 @@ struct ReplayTrunk
 
     /**
      * Fail live @p failed for @p error: freeze its counts at @p counts
-     * and its predictor's state where the trunk's is now, and drop it,
-     * so the trunk and the other members go on exactly as if it had
-     * never been attached.
+     * and drop it, so the trunk and the other members go on exactly as
+     * if it had never been attached.
      */
     void
     failMember(ReplayMember *failed, const std::exception &error,
@@ -674,11 +684,6 @@ struct ReplayTrunk
         ReplayMember &member = *failed;
         live.erase(std::find(live.begin(), live.end(), failed));
         relane();
-        if (!live.empty()) {
-            StateWriter out;
-            predictor->saveState(out);
-            member.predictorAtFailure = out.take();
-        }
         member.result.error = error.what();
         collect(member, counts);
         member.result.staticProfile = staticProfile;
@@ -709,13 +714,8 @@ struct ReplayTrunk
         }
     }
 
-    /**
-     * Close the pass: every live member gets the shared counts and the
-     * static profile, and every member's own predictor is left in the
-     * state its pass ended in (the trunk's final state, or the one it
-     * failed at) with its estimators paired to it, so callers holding
-     * components from the factories see them trained.
-     */
+    /** Close the pass: every live member gets the shared counts and
+     *  the static profile. */
     void
     finish()
     {
@@ -725,21 +725,6 @@ struct ReplayTrunk
                 live[k]->result.staticProfile = staticProfile;
             else
                 live[k]->result.staticProfile = std::move(staticProfile);
-        }
-        if (members.size() == 1)
-            return;
-        // Taken before any load: the leader's predictor is the trunk's.
-        StateWriter out;
-        predictor->saveState(out);
-        const std::vector<std::uint8_t> final_state = out.take();
-        for (ReplayMember *member : members) {
-            const auto &failed_at = member->predictorAtFailure;
-            if (member->predictor == predictor && !failed_at)
-                continue;
-            StateReader in(failed_at ? *failed_at : final_state);
-            member->predictor->loadState(in);
-            for (auto *estimator : member->estimators)
-                estimator->pairWith(*member->predictor);
         }
     }
 
@@ -826,15 +811,16 @@ ReplayMember::forEachPart(const std::string &prefix, Visit &&visit)
 std::size_t
 predictorRunsOf(const std::vector<SweepConfiguration> &configs)
 {
-    std::vector<std::unique_ptr<BranchPredictor>> owned;
-    std::vector<const BranchPredictor *> predictors;
+    TrunkLeaders leaders;
+    std::vector<std::unique_ptr<BranchPredictor>> kept;
     for (const SweepConfiguration &config : configs) {
-        owned.push_back(config.makePredictor());
-        if (owned.back() == nullptr)
+        std::unique_ptr<BranchPredictor> predictor = config.makePredictor();
+        if (predictor == nullptr)
             return configs.size();
-        predictors.push_back(owned.back().get());
+        if (leaders.join(*predictor) == kept.size())
+            kept.push_back(std::move(predictor));
     }
-    return fusedGroups(predictors).size();
+    return kept.size();
 }
 
 /** The engine's opaque per-configuration state (sweep_engine.h). */
@@ -1347,28 +1333,40 @@ SweepEngine::runImpl(TraceSource &source,
         }
     }
 
-    // Build every configuration's state: fresh components from its
-    // factories, or the caller's own components when borrowed. Then
-    // fuse the configurations whose predictors are the same design in
-    // the same state onto one trunk each (fusedGroups), led by the
-    // group's first configuration's predictor.
-    trunks_.clear();
+    // Build every configuration in order. Its fresh predictor (or the
+    // caller's borrowed one) either fuses onto an existing trunk
+    // (TrunkLeaders) and is dropped at once, or opens a new trunk that
+    // owns it. Then its estimators, fresh or borrowed, pair with the
+    // trunk's predictor.
     states_.clear();
+    trunks_.clear();
     states_.reserve(configs_.size());
-    std::vector<const BranchPredictor *> predictors;
+    TrunkLeaders leaders;
     for (std::size_t c = 0; c < configs_.size(); ++c) {
         const SweepConfiguration &config = configs_[c];
-        auto state = std::make_unique<ConfigState>(c, config.label);
-        if (borrowedPredictor_ != nullptr) {
-            state->predictor = borrowedPredictor_;
-            state->estimators = borrowedEstimators_;
-        } else {
-            state->ownedPredictor = config.makePredictor();
-            if (state->ownedPredictor == nullptr) {
+        std::unique_ptr<BranchPredictor> fresh;
+        BranchPredictor *predictor = borrowedPredictor_;
+        if (predictor == nullptr) {
+            fresh = config.makePredictor();
+            if (fresh == nullptr) {
                 fatal(ErrorCategory::kConfig, "sweep configuration '" +
                       config.label + "' produced a null predictor");
             }
-            state->predictor = state->ownedPredictor.get();
+            predictor = fresh.get();
+        }
+        const std::size_t t = leaders.join(*predictor);
+        if (t == trunks_.size()) {
+            trunks_.push_back(std::make_unique<TrunkState>(
+                driver_, *predictor, std::move(fresh), plan,
+                sweep_.isolateConfigFailures));
+        }
+        fresh.reset(); // fused: the trunk's predictor stands in for it
+        TrunkState &trunk = *trunks_[t];
+
+        auto state = std::make_unique<ConfigState>(c, config.label);
+        if (borrowedPredictor_ != nullptr) {
+            state->estimators = borrowedEstimators_;
+        } else {
             state->ownedEstimators = config.makeEstimators();
             for (const auto &estimator : state->ownedEstimators)
                 state->estimators.push_back(estimator.get());
@@ -1376,29 +1374,17 @@ SweepEngine::runImpl(TraceSource &source,
         // Native estimators grade the predictor they ride by reading
         // it; a pairing they cannot grade fails here as kConfig.
         for (auto *estimator : state->estimators)
-            estimator->pairWith(*state->predictor);
+            estimator->pairWith(*trunk.predictor);
         if (ckptEvery_ != 0)
-            requireCheckpointable(*state->predictor, state->estimators);
+            requireCheckpointable(*trunk.predictor, state->estimators);
         state->attach(driver_, plan);
-        predictors.push_back(state->predictor);
+        state->trunk = &trunk;
+        trunk.members.push_back(state.get());
         states_.push_back(std::move(state));
     }
-    for (const auto &group : fusedGroups(predictors)) {
-        BranchPredictor &leader = *states_[group.front()]->predictor;
-        auto trunk = std::make_unique<TrunkState>(
-            driver_, leader, plan, sweep_.isolateConfigFailures);
-        for (const std::size_t c : group) {
-            ConfigState &state = *states_[c];
-            state.trunk = trunk.get();
-            if (c != group.front()) {
-                for (auto *estimator : state.estimators)
-                    estimator->pairWith(leader);
-            }
-            trunk->members.push_back(&state);
-        }
+    for (auto &trunk : trunks_) {
         trunk->live = trunk->members;
         trunk->relane();
-        trunks_.push_back(std::move(trunk));
     }
 
     // Parallelism: a shared pool (if provided) or an engine-owned one.
@@ -1627,10 +1613,9 @@ SweepEngine::runImpl(TraceSource &source,
     result.records = consumed;
     result.branches = simulated;
     result.predictorRuns = trunks_.size();
-    // The states themselves (predictors, estimators, history
-    // replicas) stay alive until the next run() or destruction, so
-    // callers holding component pointers from the factories can still
-    // inspect or serialize the final trained state.
+    // Borrowed components end the pass trained in place. Factory-made
+    // ones (each trunk's predictor, each member's estimators paired
+    // with it) stay alive until the next run() or destruction.
     for (auto &trunk : trunks_)
         trunk->finish();
     result.perConfig.reserve(states_.size());

@@ -21,9 +21,13 @@
  * architectural context registers (BHR and global CIR), the
  * context-switch clock, the recording-plan cursor, the branch counts
  * and the static profile, stepped once per branch for all of them.
- * Each configuration keeps its own estimator bank and bucket
- * statistics and observes every conditional branch between the
- * trunk's predict and update, exactly as the paper's loop does —
+ * The trunk owns that one predictor: while the engine is built, each
+ * configuration's fresh predictor is compared with the trunks' and,
+ * when it fuses, dropped at once, so a pass holds one predictor per
+ * trunk. Each configuration keeps its own estimator bank, paired with
+ * its trunk's predictor, and its own bucket statistics, and observes
+ * every conditional branch between the trunk's predict and update,
+ * exactly as the paper's loop does —
  * results are bit-exact with an independent reference replay of each
  * configuration alone (the contract
  * tests/integration/sweep_differential_test.cc enforces for every
@@ -158,10 +162,10 @@ struct SweepConfiguration
     std::string label;
 
     /**
-     * Fresh-predictor factory (invoked once per run()). When several
-     * configurations' predictors can share one trunk, the first one's
-     * is stepped for all; after the pass every configuration's own
-     * predictor holds the final trained state.
+     * Fresh-predictor factory (invoked once per run()). A predictor
+     * that fuses with an earlier configuration's (see SweepEngine) is
+     * dropped as soon as it is compared: that trunk's one predictor is
+     * stepped for both, and this configuration's estimators read it.
      */
     PredictorFactory makePredictor;
 
@@ -420,8 +424,10 @@ class SweepEngine
     std::vector<ConfidenceEstimator *> borrowedEstimators_;
     std::uint64_t ckptEvery_ = 0;
     CheckpointStore *ckptStore_ = nullptr;
-    std::vector<std::unique_ptr<ConfigState>> states_;
+    // Trunks (and the predictors they own) outlive the members whose
+    // estimators are paired with them.
     std::vector<std::unique_ptr<TrunkState>> trunks_;
+    std::vector<std::unique_ptr<ConfigState>> states_;
 };
 
 } // namespace confsim

@@ -18,10 +18,12 @@
  * bit-exact too.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@
 #include "confidence/one_level.h"
 #include "metrics/bucket_stats.h"
 #include "metrics/confidence_curve.h"
+#include "predictor/gshare.h"
 #include "sim/suite_runner.h"
 #include "sim/sweep_engine.h"
 #include "support/family_registry.h"
@@ -63,17 +66,22 @@ freshSource(std::uint64_t branches = kBranches)
 struct SequentialRun
 {
     ReferenceResult result;
-    std::vector<std::uint8_t> stateBytes;
+    std::vector<std::uint8_t> stateBytes;     //!< predictor + estimators
+    std::vector<std::uint8_t> estimatorBytes; //!< estimators alone
 };
 
-/** Serialize predictor + estimator state with fixed component names. */
+/**
+ * Serialize predictor + estimator state with fixed component names;
+ * a null @p predictor serializes the estimators alone.
+ */
 std::vector<std::uint8_t>
-snapshotBytes(BranchPredictor &predictor,
+snapshotBytes(BranchPredictor *predictor,
               const std::vector<ConfidenceEstimator *> &estimators)
 {
     Checkpoint ckpt;
     ckpt.label = "differential";
-    ckpt.addComponent("predictor", predictor);
+    if (predictor != nullptr)
+        ckpt.addComponent("predictor", *predictor);
     for (std::size_t i = 0; i < estimators.size(); ++i) {
         ckpt.addComponent("estimator" + std::to_string(i),
                           *estimators[i]);
@@ -94,7 +102,8 @@ runSequential(const Family &family, DriverOptions options,
     auto source = freshSource(branches);
     SequentialRun run;
     run.result = referenceReplay(*source, *predictor, raw, options);
-    run.stateBytes = snapshotBytes(*predictor, raw);
+    run.stateBytes = snapshotBytes(predictor.get(), raw);
+    run.estimatorBytes = snapshotBytes(nullptr, raw);
     return run;
 }
 
@@ -307,7 +316,7 @@ TEST(SweepDifferential, FinalComponentBytesMatchSequential)
 
         ASSERT_NE(sweep_predictor, nullptr);
         EXPECT_EQ(reference.stateBytes,
-                  snapshotBytes(*sweep_predictor, sweep_estimators))
+                  snapshotBytes(sweep_predictor, sweep_estimators))
             << family.label;
     }
 }
@@ -414,14 +423,25 @@ TEST(SweepDifferential, FusedTrunksBitExactAtAnyThreadCount)
 
 TEST(SweepDifferential, FusedMembersKeepTheTrunksFinalState)
 {
-    // After a fused pass every configuration's own factory-made
-    // predictor holds the final state, and its estimators read it: the
-    // serialized components equal each reference replay's.
+    // After a fused pass every configuration's estimators hold the
+    // state of its reference replay, and so does each trunk's predictor.
+    // A trunk's predictor is its first configuration's: a later
+    // configuration's fresh predictor of the same design was dropped.
     const std::vector<Family> families = fusedFamilies();
     DriverOptions options;
     options.contextSwitchInterval = 7000; // does not divide kBranches
 
-    std::vector<BranchPredictor *> predictors(families.size(), nullptr);
+    std::vector<bool> leads(families.size(), true);
+    for (std::size_t c = 0; c < families.size(); ++c) {
+        const auto predictor = families[c].makePredictor();
+        for (std::size_t d = 0; d < c && leads[c]; ++d) {
+            const auto earlier = families[d].makePredictor();
+            leads[c] = typeid(*earlier) != typeid(*predictor) ||
+                       !earlier->sameDesignAs(*predictor);
+        }
+    }
+
+    std::vector<BranchPredictor *> leaders(families.size(), nullptr);
     std::vector<std::vector<ConfidenceEstimator *>> estimators(
         families.size());
     std::vector<SweepConfiguration> configs;
@@ -429,9 +449,10 @@ TEST(SweepDifferential, FusedMembersKeepTheTrunksFinalState)
         const Family &family = families[c];
         configs.push_back(
             {family.label,
-             [&family, &predictors, c] {
+             [&family, &leaders, &leads, c] {
                  auto predictor = family.makePredictor();
-                 predictors[c] = predictor.get();
+                 if (leads[c])
+                     leaders[c] = predictor.get();
                  return predictor;
              },
              [&family, &estimators, c] {
@@ -446,14 +467,78 @@ TEST(SweepDifferential, FusedMembersKeepTheTrunksFinalState)
     sweep.threads = 2;
     SweepEngine engine(configs, options, sweep);
     auto source = freshSource();
-    EXPECT_LT(engine.run(*source).predictorRuns, families.size());
+    const SweepRunResult result = engine.run(*source);
+    EXPECT_EQ(result.predictorRuns,
+              static_cast<std::uint64_t>(
+                  std::count(leads.begin(), leads.end(), true)));
 
     for (std::size_t c = 0; c < families.size(); ++c) {
-        ASSERT_NE(predictors[c], nullptr);
-        EXPECT_EQ(runSequential(families[c], options).stateBytes,
-                  snapshotBytes(*predictors[c], estimators[c]))
+        const SequentialRun reference = runSequential(families[c], options);
+        EXPECT_EQ(reference.estimatorBytes,
+                  snapshotBytes(nullptr, estimators[c]))
             << families[c].label;
+        if (leads[c]) {
+            ASSERT_NE(leaders[c], nullptr);
+            EXPECT_EQ(reference.stateBytes,
+                      snapshotBytes(leaders[c], estimators[c]))
+                << families[c].label << " (trunk predictor)";
+        }
     }
+}
+
+/** A gshare that counts its live instances. */
+class CountingGshare : public GsharePredictor
+{
+  public:
+    explicit CountingGshare(unsigned history_bits)
+        : GsharePredictor(4096, history_bits)
+    {
+        peak = std::max(peak, ++live);
+    }
+
+    ~CountingGshare() override { --live; }
+
+    static inline std::size_t live = 0;
+    static inline std::size_t peak = 0;
+};
+
+TEST(SweepDifferential, FusedConfigurationsHoldOnePredictorPerTrunk)
+{
+    // Six configurations on two gshare designs ride two trunks. A
+    // configuration whose fresh predictor fuses drops it at once, so
+    // building the engine never holds more than one predictor beyond
+    // the trunks', and a pass ends holding one per trunk.
+    const Family estimators = differentialFamilyNamed("counter_resetting");
+    std::vector<Family> families;
+    for (const unsigned history : {12u, 11u, 12u, 12u, 11u, 12u}) {
+        families.push_back(
+            {"gshare_h" + std::to_string(history),
+             [history] { return std::make_unique<CountingGshare>(history); },
+             estimators.makeEstimators});
+    }
+    std::vector<SequentialRun> references;
+    for (const Family &family : families)
+        references.push_back(runSequential(family, DriverOptions{}));
+
+    ASSERT_EQ(CountingGshare::live, 0u);
+    {
+        SweepOptions sweep;
+        sweep.threads = 2;
+        SweepEngine engine(families, DriverOptions{}, sweep);
+        for (int pass = 0; pass < 2; ++pass) {
+            CountingGshare::peak = CountingGshare::live;
+            auto source = freshSource();
+            const SweepRunResult result = engine.run(*source);
+            EXPECT_EQ(result.predictorRuns, 2u);
+            EXPECT_EQ(CountingGshare::live, result.predictorRuns);
+            EXPECT_LE(CountingGshare::peak, result.predictorRuns + 1);
+            for (std::size_t c = 0; c < families.size(); ++c) {
+                expectIdentical(references[c].result, result.perConfig[c],
+                                families[c].label);
+            }
+        }
+    }
+    EXPECT_EQ(CountingGshare::live, 0u);
 }
 
 TEST(SweepDifferential, ResumeRefusesFusedMembersWhosePredictorsDiffer)

@@ -1,6 +1,6 @@
 /** @file Unit tests for saturating and resetting counters. */
 
-#include "util/resetting_counter.h"
+#include "confidence/one_level.h"
 #include "util/saturating_counter.h"
 
 #include <gtest/gtest.h>
@@ -70,39 +70,46 @@ TEST(SaturatingCounterTest, ZeroToSixteenRange)
     EXPECT_EQ(c.value(), 16u);
 }
 
+/** One resetting-counter step (Section 5.1); @return the new value. */
+std::uint32_t
+record(std::uint32_t &counter, bool correct, std::uint32_t max = 16)
+{
+    trainCounter(CounterKind::Resetting, counter, max, correct);
+    return counter;
+}
+
 TEST(ResettingCounterTest, IncrementsOnCorrect)
 {
-    ResettingCounter c(16, 0);
-    EXPECT_EQ(c.record(true), 1u);
-    EXPECT_EQ(c.record(true), 2u);
+    std::uint32_t c = 0;
+    EXPECT_EQ(record(c, true), 1u);
+    EXPECT_EQ(record(c, true), 2u);
 }
 
 TEST(ResettingCounterTest, ResetsToZeroOnIncorrect)
 {
-    ResettingCounter c(16, 0);
+    std::uint32_t c = 0;
     for (int i = 0; i < 10; ++i)
-        c.record(true);
-    EXPECT_EQ(c.value(), 10u);
-    EXPECT_EQ(c.record(false), 0u);
+        record(c, true);
+    EXPECT_EQ(c, 10u);
+    EXPECT_EQ(record(c, false), 0u);
 }
 
 TEST(ResettingCounterTest, SaturatesAtMax)
 {
-    ResettingCounter c(16, 0);
+    std::uint32_t c = 0;
     for (int i = 0; i < 40; ++i)
-        c.record(true);
-    EXPECT_EQ(c.value(), 16u);
-    EXPECT_TRUE(c.isMax());
+        record(c, true);
+    EXPECT_EQ(c, 16u);
 }
 
 TEST(ResettingCounterTest, ValueCountsCorrectStreakExactly)
 {
     // Value = min(correct predictions since last mispredict, max).
-    ResettingCounter c(16, 16);
-    c.record(false);
+    std::uint32_t c = 16;
+    record(c, false);
     for (int i = 1; i <= 5; ++i) {
-        c.record(true);
-        EXPECT_EQ(c.value(), static_cast<std::uint32_t>(i));
+        record(c, true);
+        EXPECT_EQ(c, static_cast<std::uint32_t>(i));
     }
 }
 
@@ -111,14 +118,14 @@ TEST(ResettingCounterTest, PaperSequenceMatchesCirSemantics)
     // 3 correct, 1 incorrect, 4 correct (the paper's CIR example
     // 00010000): a resetting counter ends at 4 — the position of the
     // most recent misprediction.
-    ResettingCounter c(16, 0);
-    c.record(true);
-    c.record(true);
-    c.record(true);
-    c.record(false);
+    std::uint32_t c = 0;
+    record(c, true);
+    record(c, true);
+    record(c, true);
+    record(c, false);
     for (int i = 0; i < 4; ++i)
-        c.record(true);
-    EXPECT_EQ(c.value(), 4u);
+        record(c, true);
+    EXPECT_EQ(c, 4u);
 }
 
 } // namespace
